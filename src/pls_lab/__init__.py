@@ -35,7 +35,6 @@ from .problems import (
     exact_smoothness,
     finite_diff_grad,
     glorot_init,
-    minibatch_grad,
 )
 from .rng import SeededRng
 from .smoothness import (

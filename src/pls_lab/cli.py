@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -31,6 +32,10 @@ from .idx import write_idx
 from .runner import execute, gradcheck_report, run_grid
 
 ENV_SEED = "PLS_LAB_SEED"
+
+# argparse takes "-5.9e-05" for an option, as it knows negative numbers only
+# in the forms -5 and -5.9; the stability parsers use this pattern instead.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 def _apply_seed_override(cfg: ExperimentConfig, flag_seed: int | None) -> ExperimentConfig:
@@ -225,6 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
     t3.add_argument("--rho", type=float, required=True)
     t3.add_argument("--steps", type=int, default=100)
 
+    for system in (t1, t2, t3):
+        system._negative_number_matcher = _NEGATIVE_NUMBER
     p_stab.set_defaults(func=_cmd_stability)
 
     p_gc = sub.add_parser("gradcheck", help="analytic vs finite-difference gradients")

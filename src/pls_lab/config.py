@@ -1,19 +1,14 @@
 """Experiment configuration: a strict JSON schema with field-path errors.
 
-Top-level keys:
+The spec dataclasses below are the schema. Each field's type annotation,
+default and bounds (``positive``, ``nonneg``, ``choices``) are declared
+once, on the field; a field without a default is a required key. One
+reader checks a raw object against those fields and one echo helper
+writes ``to_dict``. Rules that involve more than one field are explicit
+code in the spec that owns them.
 
-    problem     one of the problem objects below (required)
-    algorithm   "sgd" | "amsgrad" | "accsgd" (required)
-    rate        step-size source object (required)
-    steps       non-negative int (required)
-    seed        int (required)
-    batch_size  positive int, default 100
-    test_every  positive int, default 50
-    limit       positive int or null, default null (training-subset cap)
-    amsgrad     {"beta1", "beta2", "beta1_schedule"} (optional)
-    accsgd      {"kappa", "xi", "m0"} (optional)
-
-Problem objects (key "kind" selects):
+Top-level keys are the fields of ``ExperimentConfig``. ``problem`` is one
+of the objects below, picked by its ``kind``:
 
     {"kind": "quadratic", "dim", "curvature" | "curvatures",
      "n_samples", "center_scale"?, "x0_scale"?}
@@ -21,7 +16,7 @@ Problem objects (key "kind" selects):
      "test_images"?, "test_labels"?, "l2"?, "num_classes"?}
     {"kind": "mlp-reconstruction", "layers", "images", "test_images"?, "l2"?}
 
-Rate objects:
+``rate`` is a step-size source, also picked by its ``kind``:
 
     {"kind": "fixed", "eta"}
     {"kind": "fixed-decay", "eta0"}
@@ -32,306 +27,281 @@ Unknown keys are rejected everywhere. ``from_dict`` raises ConfigError
 with the offending key path, so CLI failures name the exact field.
 """
 
-from __future__ import annotations
-
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Any
+import types
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from typing import get_args, get_origin
 
 from .errors import ConfigError
+from .optimizers import ALGORITHMS
+from .smoothness import DECAY_MODES
 
-ALGORITHMS = ("sgd", "amsgrad", "accsgd")
 RATE_KINDS = ("fixed", "fixed-decay", "pls")
 PROBLEM_KINDS = ("quadratic", "mlp-classification", "mlp-reconstruction")
+_CLASSIFICATION_ONLY = {"labels", "test_labels", "num_classes"}
 
 
-def _require(d: dict, key: str, path: str) -> Any:
-    if key not in d:
-        raise ConfigError(f"{path}{key}", "missing required key")
-    return d[key]
+def _field(default=MISSING, **rule):
+    """A spec field with its default (none: required) and the rule its
+    value must meet: ``positive``, ``nonneg``, ``choices``, ``nullable``
+    (JSON null allowed) or ``read`` (a reader of its own)."""
+    return field(default=default, metadata=rule)
 
 
-def _reject_unknown(d: dict, allowed: set[str], path: str) -> None:
+def _names(cls) -> set[str]:
+    return {f.name for f in fields(cls)}
+
+
+def _object(d, path: str) -> None:
+    if not isinstance(d, dict):
+        raise ConfigError(path[:-1], "expected an object")
+
+
+def _check(value, tp, path: str, rule):
+    """``value`` checked against the annotation ``tp`` and the field's rule.
+
+    Lists are checked element by element; their shape is the caller's.
+    """
+    if "read" in rule:
+        return rule["read"](value, path + ".")
+    if isinstance(tp, types.UnionType):  # X | None: None is the absent value
+        tp = get_args(tp)[0]
+    if tp is bool:
+        if not isinstance(value, bool):
+            raise ConfigError(path, "expected a boolean")
+        return value
+    if tp is str:
+        if not isinstance(value, str):
+            raise ConfigError(path, f"expected a string, got {value!r}")
+        if "choices" in rule and value not in rule["choices"]:
+            raise ConfigError(path, f"expected one of {rule['choices']}, got {value!r}")
+        return value
+    if tp is int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(path, f"expected an integer, got {value!r}")
+        if rule.get("positive") and value <= 0:
+            raise ConfigError(path, f"expected a positive integer, got {value!r}")
+        if rule.get("nonneg") and value < 0:
+            raise ConfigError(path, f"expected a non-negative integer, got {value!r}")
+        return value
+    if tp is float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(path, f"expected a number, got {value!r}")
+        v = float(value)
+        if not math.isfinite(v):
+            raise ConfigError(path, "must be finite")
+        if rule.get("positive") and v <= 0.0:
+            raise ConfigError(path, f"must be positive, got {value!r}")
+        if rule.get("nonneg") and v < 0.0:
+            raise ConfigError(path, f"must be non-negative, got {value!r}")
+        return v
+    if get_origin(tp) is list:
+        return [_check(v, get_args(tp)[0], f"{path}[{i}]", rule) for i, v in enumerate(value)]
+    return tp.from_dict(value, path + ".")  # a nested spec
+
+
+def _get(cls, name: str, d: dict, path: str, rule=None):
+    """Field ``name`` of ``cls`` read from ``d``, or its default."""
+    f = cls.__dataclass_fields__[name]
+    if name not in d:
+        if f.default is not MISSING:
+            return f.default
+        if f.default_factory is not MISSING:
+            return f.default_factory()
+        raise ConfigError(path + name, "missing required key")
+    if d[name] is None and f.metadata.get("nullable"):
+        return None
+    return _check(d[name], f.type, path + name, f.metadata if rule is None else rule)
+
+
+def _read(cls, d, path: str, keys=None, **values):
+    """An instance of ``cls`` from the raw object ``d``.
+
+    Keys of ``d`` outside ``keys`` (default: every field) are rejected.
+    Each field in ``keys`` is read from ``d`` unless given in ``values``;
+    the other fields keep their defaults.
+    """
+    _object(d, path)
+    keys = _names(cls) if keys is None else keys
     for key in d:
-        if key not in allowed:
-            raise ConfigError(f"{path}{key}", "unknown key")
+        if key not in keys:
+            raise ConfigError(path + key, "unknown key")
+    for f in fields(cls):
+        if f.name in keys and f.name not in values:
+            values[f.name] = _get(cls, f.name, d, path)
+    return cls(**values)
 
 
-def _number(value, path: str, *, positive=False, nonneg=False) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(path, f"expected a number, got {value!r}")
-    v = float(value)
-    if not math.isfinite(v):
-        raise ConfigError(path, "must be finite")
-    if positive and v <= 0.0:
-        raise ConfigError(path, f"must be positive, got {value!r}")
-    if nonneg and v < 0.0:
-        raise ConfigError(path, f"must be non-negative, got {value!r}")
-    return v
+def _echo(spec, keys=None) -> dict:
+    """The fields of ``spec`` in ``keys`` (default: all); nested specs echo too."""
+    out = {}
+    for f in fields(spec):
+        if keys is None or f.name in keys:
+            v = getattr(spec, f.name)
+            out[f.name] = v.to_dict() if is_dataclass(v) else v
+    return out
 
 
-def _integer(value, path: str, *, positive=False, nonneg=False) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(path, f"expected an integer, got {value!r}")
-    if positive and value <= 0:
-        raise ConfigError(path, f"expected a positive integer, got {value!r}")
-    if nonneg and value < 0:
-        raise ConfigError(path, f"expected a non-negative integer, got {value!r}")
-    return value
-
-
-def _string(value, path: str, choices=None) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(path, f"expected a string, got {value!r}")
-    if choices is not None and value not in choices:
-        raise ConfigError(path, f"expected one of {choices}, got {value!r}")
-    return value
+class _Spec:
+    def to_dict(self) -> dict:
+        return _echo(self)
 
 
 @dataclass
-class QuadraticSpec:
-    dim: int
-    curvatures: list[float]
-    n_samples: int
-    center_scale: float = 1.0
-    x0_scale: float = 1.0
+class QuadraticSpec(_Spec):
+    dim: int = _field(positive=True)
+    curvatures: list[float] = _field(positive=True)
+    n_samples: int = _field(positive=True)
+    center_scale: float = _field(1.0, nonneg=True)
+    x0_scale: float = _field(1.0, nonneg=True)
     kind: str = "quadratic"
 
     @classmethod
     def from_dict(cls, d: dict, path: str) -> "QuadraticSpec":
-        _reject_unknown(
-            d,
-            {"kind", "dim", "curvature", "curvatures", "n_samples", "center_scale", "x0_scale"},
-            path,
-        )
-        dim = _integer(_require(d, "dim", path), path + "dim", positive=True)
+        spec = _read(cls, d, path, _names(cls) | {"curvature"}, curvatures=None)
         if "curvatures" in d:
             raw = d["curvatures"]
-            if not isinstance(raw, list) or len(raw) != dim:
-                raise ConfigError(path + "curvatures", f"expected a list of {dim} numbers")
-            curvatures = [
-                _number(c, f"{path}curvatures[{i}]", positive=True) for i, c in enumerate(raw)
-            ]
-        elif "curvature" in d:
-            curvatures = [_number(d["curvature"], path + "curvature", positive=True)] * dim
+            if not isinstance(raw, list) or len(raw) != spec.dim:
+                raise ConfigError(path + "curvatures", f"expected a list of {spec.dim} numbers")
+            spec.curvatures = _get(cls, "curvatures", d, path)
+        elif "curvature" in d:  # alias: one curvature for every coordinate
+            rule = cls.__dataclass_fields__["curvatures"].metadata
+            spec.curvatures = [_check(d["curvature"], float, path + "curvature", rule)] * spec.dim
         else:
             raise ConfigError(path + "curvature", "missing required key")
-        return cls(
-            dim=dim,
-            curvatures=curvatures,
-            n_samples=_integer(_require(d, "n_samples", path), path + "n_samples", positive=True),
-            center_scale=_number(d.get("center_scale", 1.0), path + "center_scale", nonneg=True),
-            x0_scale=_number(d.get("x0_scale", 1.0), path + "x0_scale", nonneg=True),
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "dim": self.dim,
-            "curvatures": self.curvatures,
-            "n_samples": self.n_samples,
-            "center_scale": self.center_scale,
-            "x0_scale": self.x0_scale,
-        }
+        return spec
 
 
 @dataclass
 class MlpSpec:
     kind: str
-    layers: list[int]
+    layers: list[int] = _field(positive=True)
     images: str
-    labels: str | None
-    test_images: str | None
-    test_labels: str | None
-    l2: float
-    num_classes: int
+    labels: str | None = None
+    test_images: str | None = None
+    test_labels: str | None = None
+    l2: float = _field(0.0, nonneg=True)
+    num_classes: int = _field(10, positive=True)
 
     @classmethod
     def from_dict(cls, d: dict, path: str) -> "MlpSpec":
-        kind = d["kind"]
-        allowed = {"kind", "layers", "images", "test_images", "l2"}
-        if kind == "mlp-classification":
-            allowed |= {"labels", "test_labels", "num_classes"}
-        _reject_unknown(d, allowed, path)
-        raw_layers = _require(d, "layers", path)
-        if not isinstance(raw_layers, list) or len(raw_layers) < 2:
+        layers = d.get("layers")
+        if "layers" in d and (not isinstance(layers, list) or len(layers) < 2):
             raise ConfigError(path + "layers", "expected a list of at least two sizes")
-        layers = [
-            _integer(s, f"{path}layers[{i}]", positive=True) for i, s in enumerate(raw_layers)
-        ]
-        num_classes = 10
-        labels = test_labels = None
-        if kind == "mlp-classification":
-            labels = _string(_require(d, "labels", path), path + "labels")
-            if "test_labels" in d:
-                test_labels = _string(d["test_labels"], path + "test_labels")
-            num_classes = _integer(d.get("num_classes", 10), path + "num_classes", positive=True)
-            if layers[-1] != num_classes:
+        spec = _read(cls, d, path, cls._keys(d["kind"]))
+        if spec.kind == "mlp-classification":
+            if spec.labels is None:
+                raise ConfigError(path + "labels", "missing required key")
+            if spec.layers[-1] != spec.num_classes:
                 raise ConfigError(
-                    path + "layers", f"output size {layers[-1]} must equal num_classes {num_classes}"
+                    path + "layers",
+                    f"output size {spec.layers[-1]} must equal num_classes {spec.num_classes}",
                 )
-        else:
-            if layers[0] != layers[-1]:
-                raise ConfigError(
-                    path + "layers", "reconstruction needs matching input and output sizes"
-                )
-        return cls(
-            kind=kind,
-            layers=layers,
-            images=_string(_require(d, "images", path), path + "images"),
-            labels=labels,
-            test_images=_string(d["test_images"], path + "test_images")
-            if "test_images" in d
-            else None,
-            test_labels=test_labels,
-            l2=_number(d.get("l2", 0.0), path + "l2", nonneg=True),
-            num_classes=num_classes,
-        )
+        elif spec.layers[0] != spec.layers[-1]:
+            raise ConfigError(path + "layers", "reconstruction needs matching input and output sizes")
+        return spec
+
+    @classmethod
+    def _keys(cls, kind: str) -> set[str]:
+        keys = _names(cls)
+        return keys if kind == "mlp-classification" else keys - _CLASSIFICATION_ONLY
 
     def to_dict(self) -> dict:
-        out: dict[str, Any] = {"kind": self.kind, "layers": self.layers, "images": self.images}
-        if self.labels is not None:
-            out["labels"] = self.labels
-        if self.test_images is not None:
-            out["test_images"] = self.test_images
-        if self.test_labels is not None:
-            out["test_labels"] = self.test_labels
-        out["l2"] = self.l2
-        if self.kind == "mlp-classification":
-            out["num_classes"] = self.num_classes
-        return out
+        return {k: v for k, v in _echo(self, self._keys(self.kind)).items() if v is not None}
 
     @property
     def task(self) -> str:
         return "classification" if self.kind == "mlp-classification" else "reconstruction"
 
 
+def _read_problem(d, path: str) -> QuadraticSpec | MlpSpec:
+    _object(d, path)
+    if "kind" not in d:
+        raise ConfigError(path + "kind", "missing required key")
+    kind = _check(d["kind"], str, path + "kind", {"choices": PROBLEM_KINDS})
+    return (QuadraticSpec if kind == "quadratic" else MlpSpec).from_dict(d, path)
+
+
+_RATE_KEYS = {
+    "fixed": {"kind", "eta"},
+    "fixed-decay": {"kind", "eta0"},
+    "pls": {"kind", "eta0", "eps1", "eps2", "decay", "per_group", "allow_negative_eta0"},
+}
+
+
 @dataclass
 class RateSpec:
-    kind: str
-    eta: float | None = None
-    eta0: float | None = None
-    eps1: float = 0.01
-    eps2: float = 0.01
-    decay: str = "constant"
+    kind: str = _field(choices=RATE_KINDS)
+    eta: float | None = _field(None, positive=True)
+    eta0: float | None = _field(None, positive=True)
+    eps1: float = _field(0.01, positive=True)
+    eps2: float = _field(0.01, positive=True)
+    decay: str = _field("constant", choices=DECAY_MODES)
     per_group: bool = True
     allow_negative_eta0: bool = False
 
     @classmethod
     def from_dict(cls, d: dict, path: str) -> "RateSpec":
-        kind = _string(_require(d, "kind", path), path + "kind", RATE_KINDS)
-        if kind == "fixed":
-            _reject_unknown(d, {"kind", "eta"}, path)
-            return cls(kind=kind, eta=_number(_require(d, "eta", path), path + "eta", positive=True))
-        if kind == "fixed-decay":
-            _reject_unknown(d, {"kind", "eta0"}, path)
-            return cls(
-                kind=kind, eta0=_number(_require(d, "eta0", path), path + "eta0", positive=True)
-            )
-        _reject_unknown(
-            d,
-            {"kind", "eta0", "eps1", "eps2", "decay", "per_group", "allow_negative_eta0"},
-            path,
-        )
-        allow_negative = d.get("allow_negative_eta0", False)
-        if not isinstance(allow_negative, bool):
-            raise ConfigError(path + "allow_negative_eta0", "expected a boolean")
-        eta0 = _number(_require(d, "eta0", path), path + "eta0")
-        if eta0 <= 0.0 and not allow_negative:
-            raise ConfigError(
-                path + "eta0",
-                "must be positive unless allow_negative_eta0 is set",
-            )
-        per_group = d.get("per_group", True)
-        if not isinstance(per_group, bool):
-            raise ConfigError(path + "per_group", "expected a boolean")
-        return cls(
-            kind=kind,
-            eta0=eta0,
-            eps1=_number(d.get("eps1", 0.01), path + "eps1", positive=True),
-            eps2=_number(d.get("eps2", 0.01), path + "eps2", positive=True),
-            decay=_string(d.get("decay", "constant"), path + "decay", ("constant", "sqrt_t")),
-            per_group=per_group,
-            allow_negative_eta0=allow_negative,
-        )
+        _object(d, path)
+        kind = _get(cls, "kind", d, path)
+        # a pls base rate may be negative: its sign is checked below
+        given = {"eta0": _get(cls, "eta0", d, path, {})} if kind == "pls" else {}
+        spec = _read(cls, d, path, _RATE_KEYS[kind], **given)
+        base = "eta" if kind == "fixed" else "eta0"
+        if getattr(spec, base) is None:
+            raise ConfigError(path + base, "missing required key")
+        if kind == "pls" and spec.eta0 <= 0.0 and not spec.allow_negative_eta0:
+            raise ConfigError(path + "eta0", "must be positive unless allow_negative_eta0 is set")
+        return spec
 
     def to_dict(self) -> dict:
-        if self.kind == "fixed":
-            return {"kind": self.kind, "eta": self.eta}
-        if self.kind == "fixed-decay":
-            return {"kind": self.kind, "eta0": self.eta0}
-        out = {
-            "kind": self.kind,
-            "eta0": self.eta0,
-            "eps1": self.eps1,
-            "eps2": self.eps2,
-            "decay": self.decay,
-            "per_group": self.per_group,
-        }
-        if self.allow_negative_eta0:
-            out["allow_negative_eta0"] = True
+        out = _echo(self, _RATE_KEYS[self.kind])
+        if not self.allow_negative_eta0:
+            out.pop("allow_negative_eta0", None)
         return out
 
 
 @dataclass
-class AmsgradSpec:
-    beta1: float = 0.9
-    beta2: float = 0.999
-    beta1_schedule: str = "constant"
+class AmsgradSpec(_Spec):
+    beta1: float = _field(0.9, positive=True)
+    beta2: float = _field(0.999, positive=True)
+    beta1_schedule: str = _field("constant", choices=("constant", "over_t"))
 
     @classmethod
     def from_dict(cls, d: dict, path: str) -> "AmsgradSpec":
-        _reject_unknown(d, {"beta1", "beta2", "beta1_schedule"}, path)
-        beta1 = _number(d.get("beta1", 0.9), path + "beta1", positive=True)
-        beta2 = _number(d.get("beta2", 0.999), path + "beta2", positive=True)
-        if beta1 >= 1.0 or beta2 >= 1.0:
+        spec = _read(cls, d, path)
+        if spec.beta1 >= 1.0 or spec.beta2 >= 1.0:
             raise ConfigError(path + "beta1", "moment factors must lie in (0, 1)")
-        return cls(
-            beta1=beta1,
-            beta2=beta2,
-            beta1_schedule=_string(
-                d.get("beta1_schedule", "constant"),
-                path + "beta1_schedule",
-                ("constant", "over_t"),
-            ),
-        )
-
-    def to_dict(self) -> dict:
-        return {"beta1": self.beta1, "beta2": self.beta2, "beta1_schedule": self.beta1_schedule}
+        return spec
 
 
 @dataclass
-class AccsgdSpec:
-    kappa: float = 1000.0
-    xi: float = 10.0
-    m0: str = "x0"
+class AccsgdSpec(_Spec):
+    kappa: float = _field(1000.0, positive=True)
+    xi: float = _field(10.0, positive=True)
+    m0: str = _field("x0", choices=("x0", "zero"))
 
     @classmethod
     def from_dict(cls, d: dict, path: str) -> "AccsgdSpec":
-        _reject_unknown(d, {"kappa", "xi", "m0"}, path)
-        kappa = _number(d.get("kappa", 1000.0), path + "kappa", positive=True)
-        xi = _number(d.get("xi", 10.0), path + "xi", positive=True)
-        if kappa < 1.0:
+        spec = _read(cls, d, path)
+        if spec.kappa < 1.0:
             raise ConfigError(path + "kappa", "must be at least 1")
-        if xi > math.sqrt(kappa):
+        if spec.xi > math.sqrt(spec.kappa):
             raise ConfigError(path + "xi", "must not exceed sqrt(kappa)")
-        return cls(kappa=kappa, xi=xi, m0=_string(d.get("m0", "x0"), path + "m0", ("x0", "zero")))
-
-    def to_dict(self) -> dict:
-        return {"kappa": self.kappa, "xi": self.xi, "m0": self.m0}
+        return spec
 
 
 @dataclass
-class ExperimentConfig:
-    problem: QuadraticSpec | MlpSpec
-    algorithm: str
+class ExperimentConfig(_Spec):
+    problem: QuadraticSpec | MlpSpec = _field(read=_read_problem)
+    algorithm: str = _field(choices=ALGORITHMS)
     rate: RateSpec
-    steps: int
+    steps: int = _field(nonneg=True)
     seed: int
-    batch_size: int = 100
-    test_every: int = 50
-    limit: int | None = None
+    batch_size: int = _field(100, positive=True)
+    test_every: int = _field(50, positive=True)
+    limit: int | None = _field(None, positive=True, nullable=True)  # training-subset cap
     amsgrad: AmsgradSpec = field(default_factory=AmsgradSpec)
     accsgd: AccsgdSpec = field(default_factory=AccsgdSpec)
 
@@ -339,74 +309,10 @@ class ExperimentConfig:
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         if not isinstance(d, dict):
             raise ConfigError("<root>", "config must be a JSON object")
-        _reject_unknown(
-            d,
-            {
-                "problem",
-                "algorithm",
-                "rate",
-                "steps",
-                "seed",
-                "batch_size",
-                "test_every",
-                "limit",
-                "amsgrad",
-                "accsgd",
-            },
-            "",
-        )
-        problem_raw = _require(d, "problem", "")
-        if not isinstance(problem_raw, dict):
-            raise ConfigError("problem", "expected an object")
-        kind = _string(_require(problem_raw, "kind", "problem."), "problem.kind", PROBLEM_KINDS)
-        if kind == "quadratic":
-            problem = QuadraticSpec.from_dict(problem_raw, "problem.")
-        else:
-            problem = MlpSpec.from_dict(problem_raw, "problem.")
-
-        algorithm = _string(_require(d, "algorithm", ""), "algorithm", ALGORITHMS)
-        rate_raw = _require(d, "rate", "")
-        if not isinstance(rate_raw, dict):
-            raise ConfigError("rate", "expected an object")
-        rate = RateSpec.from_dict(rate_raw, "rate.")
-        if rate.kind == "pls" and rate.eta0 is not None and rate.eta0 <= 0.0:
-            if algorithm != "accsgd":
-                raise ConfigError(
-                    "rate.eta0", "negative base rates are only supported for accsgd"
-                )
-
-        limit = d.get("limit")
-        if limit is not None:
-            limit = _integer(limit, "limit", positive=True)
-
-        amsgrad = AmsgradSpec.from_dict(d.get("amsgrad", {}), "amsgrad.")
-        accsgd = AccsgdSpec.from_dict(d.get("accsgd", {}), "accsgd.")
-        return cls(
-            problem=problem,
-            algorithm=algorithm,
-            rate=rate,
-            steps=_integer(_require(d, "steps", ""), "steps", nonneg=True),
-            seed=_integer(_require(d, "seed", ""), "seed"),
-            batch_size=_integer(d.get("batch_size", 100), "batch_size", positive=True),
-            test_every=_integer(d.get("test_every", 50), "test_every", positive=True),
-            limit=limit,
-            amsgrad=amsgrad,
-            accsgd=accsgd,
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "problem": self.problem.to_dict(),
-            "algorithm": self.algorithm,
-            "rate": self.rate.to_dict(),
-            "steps": self.steps,
-            "seed": self.seed,
-            "batch_size": self.batch_size,
-            "test_every": self.test_every,
-            "limit": self.limit,
-            "amsgrad": self.amsgrad.to_dict(),
-            "accsgd": self.accsgd.to_dict(),
-        }
+        cfg = _read(cls, d, "")
+        if cfg.rate.kind == "pls" and cfg.rate.eta0 <= 0.0 and cfg.algorithm != "accsgd":
+            raise ConfigError("rate.eta0", "negative base rates are only supported for accsgd")
+        return cfg
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":

@@ -6,15 +6,7 @@ class PlsLabError(Exception):
 
 
 class DivergenceError(PlsLabError):
-    """A value that must stay finite became NaN/Inf (or blew past the loss cap).
-
-    ``step`` is the 1-based iteration at which the explosion was detected,
-    when known.
-    """
-
-    def __init__(self, message: str, step: int | None = None):
-        super().__init__(message if step is None else f"step {step}: {message}")
-        self.step = step
+    """A value that must stay finite became NaN/Inf (or blew past the loss cap)."""
 
 
 class SingularSystemError(PlsLabError):

@@ -50,11 +50,6 @@ class Matrix2:
         return np.array([[self.a11, self.a12], [self.a21, self.a22]], dtype=np.float64)
 
     @classmethod
-    def from_array(cls, a: np.ndarray) -> "Matrix2":
-        a = np.asarray(a, dtype=np.float64)
-        return cls(float(a[0, 0]), float(a[0, 1]), float(a[1, 0]), float(a[1, 1]))
-
-    @classmethod
     def diagonal(cls, d1: float, d2: float) -> "Matrix2":
         return cls(d1, 0.0, 0.0, d2)
 
@@ -148,15 +143,3 @@ def cond2(p: Matrix2) -> float:
         raise ValueError("cond2 requires a positive definite matrix")
     return lam_max / lam_min
 
-
-def mat2_mul(a: Matrix2, b: Matrix2) -> Matrix2:
-    return Matrix2(
-        a.a11 * b.a11 + a.a12 * b.a21,
-        a.a11 * b.a12 + a.a12 * b.a22,
-        a.a21 * b.a11 + a.a22 * b.a21,
-        a.a21 * b.a12 + a.a22 * b.a22,
-    )
-
-
-def mat2_transpose(a: Matrix2) -> Matrix2:
-    return Matrix2(a.a11, a.a21, a.a12, a.a22)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DivergenceError
 from .rng import SeededRng
-from .smoothness import SmoothnessEstimator, adaptive_rate
+from .smoothness import SmoothnessEstimator
 
 ALGORITHMS = ("sgd", "amsgrad", "accsgd")
 
@@ -31,7 +31,10 @@ LOSS_CAP = 1e12
 # zero and is divided at the very first step.
 VHAT_FLOOR = 1e-12
 
-_BATCH_STREAM = 1  # spawn key for the batch-sampling substream of a run seed
+BATCH_STREAM = 1  # spawn key for the batch-sampling substream of a run seed
+
+# The group of a source with one rate: the whole vector, as slice bounds.
+WHOLE = ((0, None),)
 
 
 def sgd_step(x: np.ndarray, g: np.ndarray, eta) -> np.ndarray:
@@ -140,11 +143,12 @@ class AccsgdState:
 class FixedRate:
     """Constant step size; reports a single rate group."""
 
+    groups = WHOLE
+
     def __init__(self, eta: float):
         if not np.isfinite(eta) or eta <= 0.0:
             raise ValueError("fixed step size must be positive and finite")
         self.eta = float(eta)
-        self.groups = None
 
     def rates(self, t, x, g):
         return [(self.eta, None)]
@@ -153,11 +157,12 @@ class FixedRate:
 class FixedDecayRate:
     """eta0 / sqrt(t); reports a single rate group."""
 
+    groups = WHOLE
+
     def __init__(self, eta0: float):
         if not np.isfinite(eta0) or eta0 <= 0.0:
             raise ValueError("base step size must be positive and finite")
         self.eta0 = float(eta0)
-        self.groups = None
 
     def rates(self, t, x, g):
         return [(self.eta0 / np.sqrt(t), None)]
@@ -167,9 +172,7 @@ class PlsRate:
     """Step sizes from per-group smoothness prediction.
 
     One estimator per parameter group (pass a single full-range group for
-    the global mode). ``l_override`` pins the predicted smoothness to a
-    constant, which turns this source into a fixed rate; it exists so the
-    variants can be checked step-for-step against their fixed-rate bases.
+    the global mode).
     """
 
     def __init__(
@@ -179,7 +182,6 @@ class PlsRate:
         eps1: float,
         eps2: float,
         decay: str = "constant",
-        l_override: float | None = None,
         allow_negative_eta0: bool = False,
     ):
         if not np.isfinite(eta0):
@@ -191,18 +193,9 @@ class PlsRate:
             )
         self.groups = list(groups)
         self.eta0 = float(eta0)
-        self.eps2 = float(eps2)
-        self.decay = decay
-        self.l_override = l_override
-        self.estimators = [
-            SmoothnessEstimator(eps1, eps2, eta0, decay, group_id=k)
-            for k in range(len(self.groups))
-        ]
+        self.estimators = [SmoothnessEstimator(eps1, eps2, eta0, decay) for _ in self.groups]
 
     def rates(self, t, x, g):
-        if self.l_override is not None:
-            eta = adaptive_rate(self.l_override, self.eta0, self.eps2, self.decay, t)
-            return [(eta, self.l_override) for _ in self.groups]
         out = []
         for (lo, hi), est in zip(self.groups, self.estimators):
             reading = est.predict(x[lo:hi], g[lo:hi])
@@ -236,7 +229,7 @@ class RunResult:
 
 
 def _expand_rates(groups, etas, dim):
-    if groups is None or len(etas) == 1:
+    if len(etas) == 1:
         return etas[0]
     eta_vec = np.empty(dim)
     for (lo, hi), eta in zip(groups, etas):
@@ -287,7 +280,7 @@ def run_optimizer(
     elif algorithm == "accsgd":
         state = AccsgdState.from_params(kappa, xi, x, m0=accsgd_m0)
 
-    batch_rng = SeededRng(seed).spawn(_BATCH_STREAM)
+    batch_rng = SeededRng(seed).spawn(BATCH_STREAM)
     full_batch = np.arange(obj.n)
     t_start = time.perf_counter()
 

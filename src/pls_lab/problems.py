@@ -70,10 +70,6 @@ class QuadraticProblem:
         self.x_star = centers.mean(axis=0)
 
     @classmethod
-    def isotropic(cls, curvature: float, dim: int, centers: np.ndarray) -> "QuadraticProblem":
-        return cls(np.full(dim, float(curvature)), centers)
-
-    @classmethod
     def random(
         cls,
         dim: int,
@@ -230,11 +226,6 @@ class MlpLsrProblem:
         return self.value(x, np.arange(self.n))
 
 
-def minibatch_grad(obj: FiniteSumObjective, x: np.ndarray, batch: Sequence[int]) -> np.ndarray:
-    """Average of per-sample gradients over the batch."""
-    return obj.grad(x, batch)
-
-
 def glorot_init(layer_sizes: Sequence[int], rng: SeededRng) -> np.ndarray:
     """Flat parameter vector with per-layer uniform fan-balanced weights.
 
@@ -277,24 +268,3 @@ def finite_diff_grad(
         out[k] = (f_plus - f_minus) / (2.0 * hi)
     return out
 
-
-def one_sided_diffs(
-    obj: FiniteSumObjective,
-    x: np.ndarray,
-    batch: Sequence[int],
-    coord: int,
-    h: float = 1e-6,
-) -> tuple[float, float]:
-    """Forward and backward difference quotients for one coordinate.
-
-    At a ReLU kink the two disagree; returning both lets callers report
-    the discrepancy instead of failing a central-difference check.
-    """
-    hi = h * max(1.0, abs(x[coord]))
-    xp = x.copy()
-    f0 = obj.value(x, batch)
-    xp[coord] = x[coord] + hi
-    fwd = (obj.value(xp, batch) - f0) / hi
-    xp[coord] = x[coord] - hi
-    bwd = (f0 - obj.value(xp, batch)) / hi
-    return fwd, bwd

@@ -28,7 +28,6 @@ from .problems import MlpLsrProblem, QuadraticProblem, finite_diff_grad, glorot_
 from .rng import SeededRng
 
 INIT_STREAM = 0
-BATCH_STREAM = 1
 PROBLEM_STREAM = 2
 SHUFFLE_STREAM = 3
 
@@ -131,7 +130,7 @@ def execute(cfg: ExperimentConfig, out_dir) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     problem, x0, test_fn = build_problem(cfg)
     rate_source = build_rate_source(cfg.rate, problem.layer_partition)
-    n_groups = 1 if rate_source.groups is None else len(rate_source.groups)
+    n_groups = len(rate_source.groups)
 
     result = run_optimizer(
         problem,
@@ -190,13 +189,22 @@ def execute_config(config_dict: dict, out_dir: str) -> dict:
 
 
 def run_grid(config_paths, out_root, workers: int = 1) -> list[dict]:
-    """Run several configs with isolated state and per-config output dirs."""
+    """Run several configs with isolated state and per-config output dirs.
+
+    Each config writes to ``out_root/<file stem>``; two configs whose stems
+    clash are refused, like a bad config, before any run starts.
+    """
     out_root = Path(out_root)
     jobs = []
+    owners = {}
     for path in config_paths:
         cfg_path = Path(path)
         cfg = ExperimentConfig.load(cfg_path)  # fail fast on any bad config
-        jobs.append((cfg.to_dict(), str(out_root / cfg_path.stem)))
+        out = str(out_root / cfg_path.stem)
+        if out in owners:
+            raise ConfigError(str(cfg_path), f"writes to {out}, as does {owners[out]}")
+        owners[out] = cfg_path
+        jobs.append((cfg.to_dict(), out))
     if workers <= 1:
         return [execute_config(d, out) for d, out in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -209,16 +217,13 @@ def gradcheck_report(
     n_points: int = 20,
     coords_per_point: int = 20,
     seed: int | None = None,
-    _corrupt: bool = False,
 ) -> dict:
     """Compare analytic gradients against the central-difference oracle.
 
     At each random point the checked coordinates are sampled among those
     whose analytic derivative is not vanishingly small relative to the
     largest one (central differences cannot resolve near-zero derivatives
-    in relative terms). Small problems check every coordinate. The
-    ``_corrupt`` hook deliberately perturbs the analytic gradient so the
-    failure path is testable.
+    in relative terms). Small problems check every coordinate.
     """
     problem, x0, _ = build_problem(cfg)
     rng = SeededRng(cfg.seed if seed is None else seed).spawn(17)
@@ -232,9 +237,6 @@ def gradcheck_report(
             x = rng.spawn(100 + k).uniform_array(problem.d, -2.0, 2.0)
         batch = rng.index_array(batch_size, problem.n)
         ga = problem.grad(x, batch)
-        if _corrupt:
-            ga = ga.copy()
-            ga[0] += 1e-3 * (1.0 + abs(ga[0]))
         if problem.d <= 2000:
             coords = np.arange(problem.d)
         else:

@@ -60,8 +60,6 @@ class SmoothnessReading:
 
     l_hat: float
     eta: float
-    group_id: int
-    t: int
 
 
 class SmoothnessEstimator:
@@ -79,7 +77,6 @@ class SmoothnessEstimator:
         eps2: float,
         eta0: float,
         decay: str = "constant",
-        group_id: int = 0,
     ):
         if eps1 <= 0.0 or eps2 <= 0.0:
             raise ValueError("eps1 and eps2 must be positive")
@@ -89,7 +86,6 @@ class SmoothnessEstimator:
         self.eps2 = float(eps2)
         self.eta0 = float(eta0)
         self.decay = decay
-        self.group_id = group_id
         self.t = 0
         self.prev_x: np.ndarray | None = None
         self.prev_g: np.ndarray | None = None
@@ -106,11 +102,11 @@ class SmoothnessEstimator:
         if self.prev_x is None:
             self.prev_x = x.copy()
             self.prev_g = g.copy()
-            return SmoothnessReading(0.0, self.eta0, self.group_id, self.t)
+            return SmoothnessReading(0.0, self.eta0)
         g_diff = l2_norm(g - self.prev_g)
         x_diff = l2_norm(x - self.prev_x)
         l_hat = g_diff / (x_diff + self.eps1)
         self.prev_x = x.copy()
         self.prev_g = g.copy()
         eta = adaptive_rate(l_hat, self.eta0, self.eps2, self.decay, self.t)
-        return SmoothnessReading(l_hat, eta, self.group_id, self.t)
+        return SmoothnessReading(l_hat, eta)

@@ -1,8 +1,20 @@
+import copy
+import dataclasses
 import json
+import types
+from pathlib import Path
+from typing import get_args, get_origin
 
 import pytest
 
-from pls_lab.config import ExperimentConfig
+from pls_lab.config import (
+    AccsgdSpec,
+    AmsgradSpec,
+    ExperimentConfig,
+    MlpSpec,
+    QuadraticSpec,
+    RateSpec,
+)
 from pls_lab.errors import ConfigError
 
 
@@ -131,3 +143,99 @@ class TestValidation:
         path.write_text("{not json")
         with pytest.raises(ConfigError):
             ExperimentConfig.load(path)
+
+
+@pytest.mark.parametrize("block, value", [
+    ("accsgd", True), ("amsgrad", "beta1"), ("accsgd", []), ("amsgrad", [784, 10]),
+    ("amsgrad", None),
+])
+def test_non_object_block_is_a_config_error(block, value):
+    with pytest.raises(ConfigError) as exc:
+        ExperimentConfig.from_dict(quadratic_config(**{block: value}))
+    assert exc.value.field == block
+    assert str(exc.value) == f"{block}: expected an object"
+
+
+# A valid config in which each spec's fields are read, and the path to them.
+SPEC_CONFIGS = {
+    QuadraticSpec: ("problem.", quadratic_config()),
+    MlpSpec: ("problem.", quadratic_config(problem={
+        "kind": "mlp-classification", "layers": [4, 3, 10], "images": "i.idx",
+        "labels": "l.idx", "test_images": "ti.idx", "test_labels": "tl.idx",
+    })),
+    RateSpec: ("rate.", quadratic_config(rate={"kind": "pls", "eta0": 0.1})),
+    AmsgradSpec: ("amsgrad.", quadratic_config(amsgrad={})),
+    AccsgdSpec: ("accsgd.", quadratic_config(accsgd={})),
+    ExperimentConfig: ("", quadratic_config()),
+}
+WRONG_TYPE = {int: "1", float: "1.0", str: 1, bool: 1}
+
+
+def _faults(f):
+    """(value, dotted suffix of the field that must be reported) pairs."""
+    tp = f.type
+    if isinstance(tp, types.UnionType):
+        tp = get_args(tp)[0]
+    if get_origin(tp) is list:
+        yield "1", ""
+        tp = get_args(tp)[0]
+        suffix = "[0]"
+    else:
+        suffix = ""
+    if "read" in f.metadata or dataclasses.is_dataclass(tp):
+        yield 5, suffix
+        return
+    yield WRONG_TYPE[tp], suffix
+    if f.metadata.get("positive"):
+        yield from ((0, suffix), (-1, suffix))
+    if f.metadata.get("nonneg"):
+        yield -1, suffix
+    if "choices" in f.metadata:
+        yield "bogus", suffix
+
+
+def _schema_cases():
+    for spec, (prefix, base) in SPEC_CONFIGS.items():
+        for f in dataclasses.fields(spec):
+            for value, suffix in _faults(f):
+                yield pytest.param(spec, f.name, value, suffix,
+                                   id=f"{prefix}{f.name}{suffix}={value!r}")
+
+
+@pytest.mark.parametrize("spec, name, value, suffix", _schema_cases())
+def test_schema_field_faults_name_the_field(spec, name, value, suffix):
+    prefix, base = SPEC_CONFIGS[spec]
+    cfg = copy.deepcopy(base)
+    if spec is RateSpec and name == "eta":
+        cfg["rate"] = {"kind": "fixed", "eta": 0.1}
+    target = cfg[prefix[:-1]] if prefix else cfg
+    if name == "curvatures":
+        target.pop("curvature")
+        target[name] = [2.0] * target["dim"]
+    if suffix:
+        target[name][0] = value
+    else:
+        target[name] = value
+    with pytest.raises(ConfigError) as exc:
+        ExperimentConfig.from_dict(cfg)
+    assert exc.value.field == prefix + name + suffix
+
+
+def _assert_echoes(raw, echo):
+    """Every key the raw config gives is in the echo, with its value."""
+    for key, value in raw.items():
+        if key == "curvature":  # alias: the echo lists curvatures
+            assert echo["curvatures"] == [value] * echo["dim"]
+        elif isinstance(value, dict):
+            _assert_echoes(value, echo[key])
+        else:
+            assert echo[key] == value
+
+
+@pytest.mark.parametrize("path", sorted(Path(__file__).parents[1].glob("configs/*.json")),
+                         ids=lambda p: p.name)
+def test_shipped_config_round_trips(path):
+    raw = json.loads(path.read_text())
+    echo = ExperimentConfig.from_dict(raw).to_dict()
+    assert ExperimentConfig.from_dict(json.loads(json.dumps(echo))).to_dict() == echo
+    _assert_echoes(raw, echo)

@@ -10,8 +10,6 @@ from pls_lab.linalg import (
     cond2,
     eig2x2,
     l2_norm,
-    mat2_mul,
-    mat2_transpose,
     solve_discrete_lyapunov2,
     spectral_radius2,
 )
@@ -155,9 +153,3 @@ class TestCond2:
         with pytest.raises(ValueError):
             cond2(Matrix2(1.0, 0.5, -0.5, 1.0))
 
-
-def test_mat2_helpers():
-    a = Matrix2(1.0, 2.0, 3.0, 4.0)
-    b = Matrix2(0.0, 1.0, 1.0, 0.0)
-    npt.assert_allclose(mat2_mul(a, b).as_array(), a.as_array() @ b.as_array())
-    npt.assert_allclose(mat2_transpose(a).as_array(), a.as_array().T)

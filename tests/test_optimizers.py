@@ -17,6 +17,7 @@ from pls_lab.optimizers import (
 )
 from pls_lab.problems import QuadraticProblem
 from pls_lab.rng import SeededRng
+from pls_lab.smoothness import SmoothnessReading, adaptive_rate
 
 
 def isotropic_quadratic(curvature=1.0, dim=3, n=10, seed=2):
@@ -204,9 +205,12 @@ class TestRunOptimizer:
         prob = isotropic_quadratic(curvature=2.0)
         l0, eta0, eps2 = 3.0, 0.002, 0.01
         eta_fixed = eta0 / (l0 + eps2)
+        reading = SmoothnessReading(l0, adaptive_rate(l0, eta0, eps2))
         kw = dict(steps=40, seed=4, x0=np.ones(prob.d), batch_size=4)
         for algo in ("sgd", "amsgrad", "accsgd"):
-            pinned = PlsRate(prob.layer_partition, eta0, 0.01, eps2, l_override=l0)
+            pinned = PlsRate(prob.layer_partition, eta0, 0.01, eps2)
+            for est in pinned.estimators:
+                est.predict = lambda x, g: reading
             ra = run_optimizer(prob, algo, pinned, **kw)
             rb = run_optimizer(prob, algo, FixedRate(eta_fixed), **kw)
             npt.assert_array_equal(ra.x_final, rb.x_final)

@@ -4,8 +4,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import pls_lab.cli as cli_mod
 from pls_lab.cli import main
 from pls_lab.config import ExperimentConfig
+from pls_lab.errors import ConfigError
+from pls_lab.problems import QuadraticProblem
 from pls_lab.runner import build_problem, execute, execute_config, gradcheck_report, run_grid
 
 from conftest import mlp_classification_config
@@ -21,6 +24,14 @@ def quadratic_pls_config(steps=200, seed=1, curvature=1.0, eta0=0.5):
         "seed": seed,
         "batch_size": 50,  # full batch: n_samples == batch_size
     }
+
+
+# every float flag of each stability system, with a valid value
+STABILITY_ARGS = {
+    "t1": {"--L": "2", "--rho": "0.5", "--eta": "0.4"},
+    "t2": {"--beta1": "0.9", "--sqrtvhat": "1", "--L": "1", "--eta": "1.0", "--rho": "0.95"},
+    "t3": {"--kappa": "1000", "--xi": "10", "--L": "1", "--eta": "0.5", "--rho": "0.996"},
+}
 
 
 def read_csv(path):
@@ -209,9 +220,17 @@ class TestGradcheck:
         report = gradcheck_report(cfg, n_points=4)
         assert report["max_rel_error"] < 1e-5
 
-    def test_corrupted_gradient_fails(self):
+    def test_corrupted_gradient_fails(self, monkeypatch):
+        grad = QuadraticProblem.grad
+
+        def corrupted(self, x, batch):
+            g = grad(self, x, batch)
+            g[0] += 1e-3 * (1.0 + abs(g[0]))
+            return g
+
+        monkeypatch.setattr(QuadraticProblem, "grad", corrupted)
         cfg = ExperimentConfig.from_dict(quadratic_pls_config(steps=0))
-        report = gradcheck_report(cfg, n_points=3, _corrupt=True)
+        report = gradcheck_report(cfg, n_points=3)
         assert not report["passed"]
 
 
@@ -274,6 +293,25 @@ class TestCli:
         npt.assert_allclose(out["nominal_eigenvalues"], [0.9951, 0.496524], atol=1e-6)
         npt.assert_allclose(out["window"][0], -0.002972, atol=1e-6)
 
+    @pytest.mark.parametrize("system, flag", [
+        (system, flag) for system, args in STABILITY_ARGS.items() for flag in args
+    ])
+    def test_stability_float_flags_take_negative_exponent_form(self, system, flag,
+                                                                monkeypatch):
+        parsed = {}
+        monkeypatch.setattr(cli_mod, "_cmd_stability", lambda args: parsed.update(vars(args)))
+        argv = ["stability", system]
+        for name, value in STABILITY_ARGS[system].items():
+            argv += [name, "-2.5e-01" if name == flag else value]
+        main(argv)
+        assert parsed[flag[2:]] == -0.25
+
+    def test_stability_t3_negative_eta_in_exponent_form(self, capsys):
+        assert main(["stability", "t3", "--kappa", "18.416991926760048",
+                     "--xi", "3.6314328459536815", "--L", "6.743524366838232",
+                     "--eta", "-5.948835676027227e-05", "--rho", "0.9283854113120378"]) == 0
+        assert json.loads(capsys.readouterr().out)["eta"] == -5.948835676027227e-05
+
     def test_stability_rejects_bad_ranges(self, capsys):
         assert main(["stability", "t2", "--beta1", "1.0", "--sqrtvhat", "1",
                      "--L", "1", "--eta", "0.5"]) == 2
@@ -330,3 +368,15 @@ def test_grid_parallel_workers(tmp_path):
     summaries = run_grid(paths, tmp_path / "out", workers=2)
     assert len(summaries) == 2
     assert all(not s["diverged"] for s in summaries)
+
+
+def test_grid_refuses_configs_sharing_an_output_dir(tmp_path):
+    paths = []
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        paths.append(tmp_path / sub / "x.json")
+        paths[-1].write_text(json.dumps(quadratic_pls_config(steps=5)))
+    with pytest.raises(ConfigError) as exc:
+        run_grid(paths, tmp_path / "out")
+    assert str(paths[0]) in str(exc.value) and str(paths[1]) in str(exc.value)
+    assert not (tmp_path / "out").exists()

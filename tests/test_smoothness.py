@@ -21,7 +21,7 @@ class TestPredict:
         r = est.predict(np.array([1.0, 2.0]), np.array([0.1, 0.2]))
         assert r.l_hat == 0.0
         assert r.eta == 0.5
-        assert r.t == 1
+        assert est.t == 1
 
     def test_norm_ratio(self):
         est = SmoothnessEstimator(TINY, 0.01, eta0=1.0)
@@ -69,8 +69,8 @@ class TestPredict:
     def test_state_update_and_counter(self):
         est = SmoothnessEstimator(0.01, 0.01, eta0=1.0)
         for t in range(1, 5):
-            r = est.predict(np.full(2, float(t)), np.full(2, -float(t)))
-            assert r.t == t
+            est.predict(np.full(2, float(t)), np.full(2, -float(t)))
+            assert est.t == t
         npt.assert_array_equal(est.prev_x, np.full(2, 4.0))
 
     def test_dimension_mismatch_rejected(self):
