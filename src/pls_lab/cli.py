@@ -16,13 +16,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import re
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import stability as stab
 from .config import ExperimentConfig
@@ -36,6 +33,13 @@ ENV_SEED = "PLS_LAB_SEED"
 # argparse takes "-5.9e-05" for an option, as it knows negative numbers only
 # in the forms -5 and -5.9; the stability parsers use this pattern instead.
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+# Each stability system's help line and required float flags, in --help order.
+_STABILITY_SYSTEMS = {
+    "t1": ("plain descent (scalar factor)", ("L", "rho", "eta")),
+    "t2": ("adaptive-moment system (2x2)", ("beta1", "sqrtvhat", "L", "eta")),
+    "t3": ("accelerated-momentum system (2x2)", ("kappa", "xi", "L", "eta", "rho")),
+}
 
 
 def _apply_seed_override(cfg: ExperimentConfig, flag_seed: int | None) -> ExperimentConfig:
@@ -82,85 +86,10 @@ def _cmd_gradcheck(args) -> int:
     return 0 if report["passed"] else 1
 
 
-def _envelope_dict(report: stab.DecayReport, steps: int) -> dict:
-    return {
-        "steps": steps,
-        "max_ratio": None if math.isinf(report.max_ratio) else report.max_ratio,
-        "bound": report.bound,
-        "within_bound": report.within_bound,
-        "overflowed": report.overflowed,
-    }
-
-
-def _stability_t1(args) -> dict:
-    window = stab.sgd_rate_window(args.L, args.rho)
-    factor = stab.sgd_factor(args.eta, args.L)
-    inside = window[0] <= args.eta <= window[1]
-    sim = stab.simulate_factors([factor] * args.steps, 1.0, args.rho)
-    p = 1.0 / (args.rho**2 - factor**2) if abs(factor) < args.rho else None
-    return {
-        "system": "sgd",
-        "rho": args.rho,
-        "window": list(window),
-        "eta": args.eta,
-        "eta_in_window": inside,
-        "factor": factor,
-        "spectral_radius": abs(factor),
-        "lyapunov_p": p,
-        "stable": inside,
-        "envelope": _envelope_dict(sim, args.steps),
-    }
-
-
-def _stability_t2(args) -> dict:
-    rho = args.rho if args.rho is not None else math.sqrt(args.beta1)
-    window = stab.amsgrad_rate_window(args.beta1, args.sqrtvhat, args.L)
-    a = stab.amsgrad_system(args.beta1, args.eta, args.L, args.sqrtvhat)
-    verdict = stab.lyapunov_verdict(a, rho)
-    inside = window[0] < args.eta < window[1]
-    zeta0 = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    sim = stab.simulate_system([a] * args.steps, zeta0, rho, verdict.lyapunov_p)
-    return {
-        "system": "amsgrad",
-        "rho": rho,
-        "window": list(window),
-        "eta": args.eta,
-        "eta_in_window": inside,
-        "spectral_radius": verdict.spectral_radius,
-        "discriminant": stab.amsgrad_discriminant(args.beta1, args.eta, args.L, args.sqrtvhat),
-        "lmi_feasible": verdict.stable,
-        "cond_p": verdict.cond_p,
-        "stable": inside,
-        "envelope": _envelope_dict(sim, args.steps),
-    }
-
-
-def _stability_t3(args) -> dict:
-    verdict = stab.accsgd_stability(args.kappa, args.xi, args.eta, args.L, args.rho)
-    b = stab.accsgd_system(args.kappa, args.xi, args.eta, args.L)
-    lyap = stab.lyapunov_verdict(b, args.rho)
-    zeta0 = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    sim = stab.simulate_system([b] * args.steps, zeta0, args.rho, lyap.lyapunov_p)
-    return {
-        "system": "accsgd",
-        "rho": args.rho,
-        "alpha_ok": verdict.alpha_ok,
-        "window": list(verdict.eta_window),
-        "eta": args.eta,
-        "eta_in_window": verdict.eta_in_window,
-        "nominal_eigenvalues": list(verdict.nominal_eigenvalues),
-        "spectral_radius": lyap.spectral_radius,
-        "lmi_feasible": lyap.stable,
-        "cond_p": lyap.cond_p,
-        "stable": verdict.stable,
-        "envelope": _envelope_dict(sim, args.steps),
-    }
-
-
 def _cmd_stability(args) -> int:
-    builders = {"t1": _stability_t1, "t2": _stability_t2, "t3": _stability_t3}
+    params = {k: v for k, v in vars(args).items() if k not in ("command", "system", "func")}
     try:
-        result = builders[args.system](args)
+        result = stab.analyze(args.system, **params)
     except (ValueError, PlsLabError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -207,31 +136,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_stab = sub.add_parser("stability", help="contraction analysis of one system")
     stab_sub = p_stab.add_subparsers(dest="system", required=True)
 
-    t1 = stab_sub.add_parser("t1", help="plain descent (scalar factor)")
-    t1.add_argument("--L", type=float, required=True)
-    t1.add_argument("--rho", type=float, required=True)
-    t1.add_argument("--eta", type=float, required=True)
-    t1.add_argument("--steps", type=int, default=100)
-
-    t2 = stab_sub.add_parser("t2", help="adaptive-moment system (2x2)")
-    t2.add_argument("--beta1", type=float, required=True)
-    t2.add_argument("--sqrtvhat", type=float, required=True)
-    t2.add_argument("--L", type=float, required=True)
-    t2.add_argument("--eta", type=float, required=True)
-    t2.add_argument("--rho", type=float, default=None,
-                    help="defaults to sqrt(beta1)")
-    t2.add_argument("--steps", type=int, default=100)
-
-    t3 = stab_sub.add_parser("t3", help="accelerated-momentum system (2x2)")
-    t3.add_argument("--kappa", type=float, required=True)
-    t3.add_argument("--xi", type=float, required=True)
-    t3.add_argument("--L", type=float, required=True)
-    t3.add_argument("--eta", type=float, required=True)
-    t3.add_argument("--rho", type=float, required=True)
-    t3.add_argument("--steps", type=int, default=100)
-
-    for system in (t1, t2, t3):
-        system._negative_number_matcher = _NEGATIVE_NUMBER
+    for system, (help_text, flags) in _STABILITY_SYSTEMS.items():
+        p_sys = stab_sub.add_parser(system, help=help_text)
+        p_sys._negative_number_matcher = _NEGATIVE_NUMBER
+        for flag in flags:
+            p_sys.add_argument(f"--{flag}", type=float, required=True)
+        if system == "t2":
+            p_sys.add_argument("--rho", type=float, default=None,
+                               help="defaults to sqrt(beta1)")
+        p_sys.add_argument("--steps", type=int, default=100)
     p_stab.set_defaults(func=_cmd_stability)
 
     p_gc = sub.add_parser("gradcheck", help="analytic vs finite-difference gradients")

@@ -88,7 +88,10 @@ def _check(value, tp, path: str, rule):
     if tp is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(path, f"expected a number, got {value!r}")
-        v = float(value)
+        try:
+            v = float(value)
+        except OverflowError:  # an integer beyond the float range
+            v = math.inf
         if not math.isfinite(v):
             raise ConfigError(path, "must be finite")
         if rule.get("positive") and v <= 0.0:
@@ -160,6 +163,8 @@ class QuadraticSpec(_Spec):
     @classmethod
     def from_dict(cls, d: dict, path: str) -> "QuadraticSpec":
         spec = _read(cls, d, path, _names(cls) | {"curvature"}, curvatures=None)
+        if "curvatures" in d and "curvature" in d:
+            raise ConfigError(path + "curvature", "give curvature or curvatures, not both")
         if "curvatures" in d:
             raw = d["curvatures"]
             if not isinstance(raw, list) or len(raw) != spec.dim:

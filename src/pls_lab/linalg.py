@@ -49,14 +49,6 @@ class Matrix2:
     def as_array(self) -> np.ndarray:
         return np.array([[self.a11, self.a12], [self.a21, self.a22]], dtype=np.float64)
 
-    @classmethod
-    def diagonal(cls, d1: float, d2: float) -> "Matrix2":
-        return cls(d1, 0.0, 0.0, d2)
-
-    @classmethod
-    def identity(cls) -> "Matrix2":
-        return cls(1.0, 0.0, 0.0, 1.0)
-
 
 def eig2x2(m: Matrix2) -> tuple[complex, complex]:
     """Eigenvalues of a 2x2 matrix, ordered by descending magnitude.

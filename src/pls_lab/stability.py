@@ -6,7 +6,8 @@ state matrices for the adaptive-moment and accelerated updates. This
 module builds those systems, derives the step-size windows inside which
 they contract at a given rate rho, certifies contraction two independent
 ways (discrete Lyapunov solve and spectral radius), and simulates the
-systems to check the decay envelope numerically.
+systems to check the decay envelope numerically. ``analyze`` puts these
+together into the report that ``pls-lab stability`` prints.
 """
 
 from __future__ import annotations
@@ -185,11 +186,9 @@ class StabilityVerdict:
     """Certificate outcome for one 2x2 system at one rate."""
 
     stable: bool
-    rho_used: float
     spectral_radius: float
     lyapunov_p: Matrix2 | None
     cond_p: float | None
-    method: str
 
 
 def lyapunov_verdict(m: Matrix2, rho: float) -> StabilityVerdict:
@@ -219,11 +218,9 @@ def lyapunov_verdict(m: Matrix2, rho: float) -> StabilityVerdict:
         )
     return StabilityVerdict(
         stable=feasible,
-        rho_used=rho,
         spectral_radius=sr,
         lyapunov_p=p,
         cond_p=cond2(p) if feasible else None,
-        method="lmi",
     )
 
 
@@ -235,10 +232,6 @@ class DecayReport:
     bound: float | None  # sqrt(cond(P)) when a certificate was supplied
     within_bound: bool | None
     overflowed: bool
-
-    @property
-    def stable(self) -> bool:
-        return not self.overflowed
 
 
 def simulate_factors(factors, z0: float, rho: float) -> DecayReport:
@@ -274,8 +267,7 @@ def simulate_system(
     max_ratio = 1.0
     pow_rho = 1.0
     for m in matrices:
-        a = m.as_array() if isinstance(m, Matrix2) else np.asarray(m, dtype=np.float64)
-        z = a @ z
+        z = m.as_array() @ z
         pow_rho *= rho
         norm = float(np.linalg.norm(z))
         if not math.isfinite(norm) or norm > 1e150:
@@ -285,52 +277,98 @@ def simulate_system(
     return DecayReport(max_ratio, bound, within, False)
 
 
-@dataclass
-class SequenceCertificate:
-    """Common certificate attempt for a time-varying matrix sequence."""
+# --- the report of one system ---
 
-    p: Matrix2 | None
-    cond_p: float | None
-    valid_for_all: bool
-    per_step_radii: list[float]
+_ZETA0 = np.array([1.0, 1.0]) / math.sqrt(2.0)  # unit start of the 2x2 simulations
 
 
-def common_certificate(matrices, rho: float) -> SequenceCertificate:
-    """Try one P (from the first matrix) against every later step.
+def _certified(m: Matrix2, rho: float, steps: int) -> tuple[StabilityVerdict, DecayReport]:
+    """Lyapunov verdict of a 2x2 system and its simulated envelope."""
+    verdict = lyapunov_verdict(m, rho)
+    return verdict, simulate_system([m] * steps, _ZETA0, rho, verdict.lyapunov_p)
 
-    If the first-step certificate fails somewhere, fall back to reporting
-    per-step spectral radii so callers can still certify step by step.
+
+def analyze(
+    system: str,
+    *,
+    L: float,
+    eta: float,
+    rho: float | None = None,
+    steps: int = 100,
+    beta1: float | None = None,
+    sqrtvhat: float | None = None,
+    kappa: float | None = None,
+    xi: float | None = None,
+) -> dict:
+    """Stability report of one linearized system, ready for ``json.dumps``.
+
+    ``system`` is "t1" (plain descent: L, eta, rho), "t2" (adaptive
+    moments: beta1, sqrtvhat, L, eta, and rho, which defaults to
+    sqrt(beta1)) or "t3" (accelerated momentum: kappa, xi, L, eta, rho).
+    The report gives the step-size window and whether eta lies in it,
+    the spectral radius, the contraction certificate (``lyapunov_p`` for
+    t1; ``lmi_feasible`` and ``cond_p`` for t2 and t3) and the envelope of
+    a ``steps``-step simulation. ``stable`` is the window verdict (for t3,
+    the nominal-pair verdict of ``accsgd_stability``), which can differ
+    from contraction. Invalid parameters raise ValueError or PlsLabError,
+    as does an unknown ``system``.
     """
-    matrices = list(matrices)
-    radii = [spectral_radius2(m) for m in matrices]
-    if not matrices:
-        return SequenceCertificate(None, None, False, radii)
-    try:
-        p = solve_discrete_lyapunov2(matrices[0], rho)
-    except SingularSystemError:
-        p = None
-    if p is None:
-        return SequenceCertificate(None, None, False, radii)
-    pa = p.as_array()
-    r2 = rho * rho
-    for m in matrices:
-        a = m.as_array()
-        s = a.T @ pa @ a - r2 * pa
-        # negative definiteness of the symmetric residual
-        if not (s[0, 0] < 0.0 and np.linalg.det(s) > 0.0):
-            return SequenceCertificate(p, cond2(p), False, radii)
-    return SequenceCertificate(p, cond2(p), True, radii)
-
-
-def sqrt_vhat_representatives(vhat: np.ndarray) -> dict[str, float]:
-    """Scalar stand-ins for a per-coordinate running max of second moments.
-
-    The 2x2 analysis treats sqrt(vhat) as a scalar while the optimizer
-    keeps a vector; evaluating the system at the min, mean and max
-    brackets the truth for a live run.
-    """
-    vhat = np.asarray(vhat, dtype=np.float64)
-    if vhat.size == 0 or np.any(vhat < 0.0):
-        raise ValueError("vhat must be non-empty and non-negative")
-    s = np.sqrt(vhat)
-    return {"min": float(s.min()), "mean": float(s.mean()), "max": float(s.max())}
+    if system == "t1":
+        window = sgd_rate_window(L, rho)
+        factor = sgd_factor(eta, L)
+        stable = window[0] <= eta <= window[1]
+        sim = simulate_factors([factor] * steps, 1.0, rho)
+        report = {
+            "system": "sgd",
+            "rho": rho,
+            "window": list(window),
+            "eta": eta,
+            "eta_in_window": stable,
+            "factor": factor,
+            "spectral_radius": abs(factor),
+            "lyapunov_p": 1.0 / (rho**2 - factor**2) if abs(factor) < rho else None,
+        }
+    elif system == "t2":
+        if rho is None:
+            rho = math.sqrt(beta1)
+        window = amsgrad_rate_window(beta1, sqrtvhat, L)
+        verdict, sim = _certified(amsgrad_system(beta1, eta, L, sqrtvhat), rho, steps)
+        stable = window[0] < eta < window[1]
+        report = {
+            "system": "amsgrad",
+            "rho": rho,
+            "window": list(window),
+            "eta": eta,
+            "eta_in_window": stable,
+            "spectral_radius": verdict.spectral_radius,
+            "discriminant": amsgrad_discriminant(beta1, eta, L, sqrtvhat),
+            "lmi_feasible": verdict.stable,
+            "cond_p": verdict.cond_p,
+        }
+    elif system == "t3":
+        nominal = accsgd_stability(kappa, xi, eta, L, rho)
+        verdict, sim = _certified(accsgd_system(kappa, xi, eta, L), rho, steps)
+        stable = nominal.stable
+        report = {
+            "system": "accsgd",
+            "rho": rho,
+            "alpha_ok": nominal.alpha_ok,
+            "window": list(nominal.eta_window),
+            "eta": eta,
+            "eta_in_window": nominal.eta_in_window,
+            "nominal_eigenvalues": list(nominal.nominal_eigenvalues),
+            "spectral_radius": verdict.spectral_radius,
+            "lmi_feasible": verdict.stable,
+            "cond_p": verdict.cond_p,
+        }
+    else:
+        raise ValueError(f"unknown system {system!r}: expected t1, t2 or t3")
+    report["stable"] = stable
+    report["envelope"] = {
+        "steps": steps,
+        "max_ratio": None if math.isinf(sim.max_ratio) else sim.max_ratio,
+        "bound": sim.bound,
+        "within_bound": sim.within_bound,
+        "overflowed": sim.overflowed,
+    }
+    return report

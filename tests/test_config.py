@@ -74,6 +74,23 @@ class TestValidation:
             ExperimentConfig.from_dict(bad)
         assert "curvatures" in exc.value.field
 
+    def test_curvature_alias_next_to_curvatures_rejected(self):
+        bad = quadratic_config()
+        bad["problem"]["curvatures"] = [1.0] * 4
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict(bad)
+        assert exc.value.field == "problem.curvature"
+
+    @pytest.mark.parametrize("value", [10**400, -10**400, 1e400],
+                             ids=["int", "negative-int", "float"])
+    @pytest.mark.parametrize("block, key", [("rate", "eta0"), ("problem", "center_scale")])
+    def test_float_beyond_range_is_not_finite(self, block, key, value):
+        cfg = quadratic_config(rate={"kind": "pls", "eta0": 0.1})
+        cfg[block][key] = value
+        with pytest.raises(ConfigError, match="must be finite") as exc:
+            ExperimentConfig.from_dict(cfg)
+        assert exc.value.field == f"{block}.{key}"
+
     def test_negative_base_rate_needs_flag_and_accsgd(self):
         pls = {"kind": "pls", "eta0": -0.001}
         with pytest.raises(ConfigError):

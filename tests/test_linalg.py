@@ -39,7 +39,7 @@ class TestL2Norm:
 
 class TestEig2x2:
     def test_identity(self):
-        l1, l2 = eig2x2(Matrix2.identity())
+        l1, l2 = eig2x2(Matrix2(1.0, 0.0, 0.0, 1.0))
         assert l1 == 1.0 and l2 == 1.0
 
     def test_rotation_unit_conjugates(self):
@@ -69,7 +69,7 @@ class TestEig2x2:
             assert abs(l1 * l2 - det) <= 1e-12 * max(1.0, abs(det))
 
     def test_ordering_by_magnitude(self):
-        l1, l2 = eig2x2(Matrix2.diagonal(0.2, -0.8))
+        l1, l2 = eig2x2(Matrix2(0.2, 0.0, 0.0, -0.8))
         assert abs(l1) >= abs(l2)
 
     def test_non_finite_rejected(self):
@@ -79,23 +79,23 @@ class TestEig2x2:
 
 class TestSpectralRadius:
     def test_identity(self):
-        assert spectral_radius2(Matrix2.identity()) == 1.0
+        assert spectral_radius2(Matrix2(1.0, 0.0, 0.0, 1.0)) == 1.0
 
     def test_diagonal_takes_largest_magnitude(self):
-        npt.assert_allclose(spectral_radius2(Matrix2.diagonal(0.5, -0.9)), 0.9, rtol=1e-14)
+        npt.assert_allclose(spectral_radius2(Matrix2(0.5, 0.0, 0.0, -0.9)), 0.9, rtol=1e-14)
 
 
 class TestDiscreteLyapunov:
     def test_diagonal_half_contraction(self):
         # M = diag(0.5, 0.5), rho = 0.9: p * 0.25 - 0.81 p = -1
-        p = solve_discrete_lyapunov2(Matrix2.diagonal(0.5, 0.5), 0.9)
+        p = solve_discrete_lyapunov2(Matrix2(0.5, 0.0, 0.0, 0.5), 0.9)
         assert p is not None
         npt.assert_allclose(p.a11, 1.0 / 0.56, rtol=1e-12)
         npt.assert_allclose(p.a22, 1.0 / 0.56, rtol=1e-12)
         npt.assert_allclose(p.a12, 0.0, atol=1e-12)
 
     def test_identity_infeasible_below_its_radius(self):
-        assert solve_discrete_lyapunov2(Matrix2.identity(), 0.5) is None
+        assert solve_discrete_lyapunov2(Matrix2(1.0, 0.0, 0.0, 1.0), 0.5) is None
 
     def test_solution_satisfies_equation(self):
         rng = SeededRng(77)
@@ -129,15 +129,15 @@ class TestDiscreteLyapunov:
 
     def test_rho_must_be_positive(self):
         with pytest.raises(ValueError):
-            solve_discrete_lyapunov2(Matrix2.identity(), 0.0)
+            solve_discrete_lyapunov2(Matrix2(1.0, 0.0, 0.0, 1.0), 0.0)
 
 
 class TestCond2:
     def test_identity(self):
-        assert cond2(Matrix2.identity()) == 1.0
+        assert cond2(Matrix2(1.0, 0.0, 0.0, 1.0)) == 1.0
 
     def test_diagonal(self):
-        assert cond2(Matrix2.diagonal(4.0, 1.0)) == 4.0
+        assert cond2(Matrix2(4.0, 0.0, 0.0, 1.0)) == 4.0
 
     def test_matches_eigensolver_on_certificates(self):
         p = solve_discrete_lyapunov2(Matrix2(0.3, 0.2, -0.1, 0.4), 0.8)
@@ -147,7 +147,7 @@ class TestCond2:
 
     def test_rejects_non_positive_definite(self):
         with pytest.raises(ValueError):
-            cond2(Matrix2.diagonal(1.0, -1.0))
+            cond2(Matrix2(1.0, 0.0, 0.0, -1.0))
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):

@@ -249,6 +249,14 @@ class TestCli:
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
         assert "oops" in capsys.readouterr().err
 
+    def test_run_reports_an_integer_beyond_float_range(self, tmp_path, capsys):
+        cfg = quadratic_pls_config(steps=25)
+        cfg["rate"]["eta0"] = 10**400
+        cfg_path = tmp_path / "huge.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: rate.eta0: must be finite\n"
+
     def test_seed_precedence(self, tmp_path, capsys, monkeypatch):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(quadratic_pls_config(steps=1, seed=1)))

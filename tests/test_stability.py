@@ -1,13 +1,16 @@
+import json
 import math
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from pls_lab.cli import main
 from pls_lab.errors import ConsistencyError
 from pls_lab.linalg import Matrix2, eig2x2, spectral_radius2
 from pls_lab.rng import SeededRng
 from pls_lab.stability import (
+    AGREEMENT_TOL,
     accsgd_nominal_eigenvalues,
     accsgd_rate_window,
     accsgd_stability,
@@ -15,13 +18,12 @@ from pls_lab.stability import (
     amsgrad_discriminant,
     amsgrad_rate_window,
     amsgrad_system,
-    common_certificate,
+    analyze,
     lyapunov_verdict,
     sgd_factor,
     sgd_rate_window,
     simulate_factors,
     simulate_system,
-    sqrt_vhat_representatives,
 )
 
 
@@ -37,7 +39,7 @@ class TestSgdWindow:
     def test_inside_window_contracts_at_rate(self):
         report = simulate_factors([sgd_factor(0.4, 2.0)] * 100, 1.0, 0.5)
         assert report.max_ratio <= 1.0 + 1e-12
-        assert report.stable
+        assert not report.overflowed
 
     def test_above_window_still_contracts_but_excluded(self):
         # step 0.6 with curvature 2: factor -0.2, outside the one-sided
@@ -126,7 +128,7 @@ class TestLyapunovVerdict:
         assert verdict.cond_p >= 1.0
 
     def test_identity_unstable(self):
-        verdict = lyapunov_verdict(Matrix2.identity(), 0.99)
+        verdict = lyapunov_verdict(Matrix2(1.0, 0.0, 0.0, 1.0), 0.99)
         assert not verdict.stable
         assert verdict.lyapunov_p is None
         assert verdict.cond_p is None
@@ -208,19 +210,18 @@ class TestAccsgdSystem:
 
 class TestSimulation:
     def test_constant_half_rate_within_envelope(self):
-        m = Matrix2.diagonal(0.25, 0.25)
+        m = Matrix2(0.25, 0.0, 0.0, 0.25)
         report = simulate_system([m] * 50, np.array([1.0, 1.0]), 0.5)
         assert report.max_ratio <= 1.0 + 1e-12
-        assert report.stable
+        assert not report.overflowed
 
     def test_zero_start_stays_zero(self):
-        report = simulate_system([Matrix2.identity()] * 10, np.zeros(2), 0.9)
+        report = simulate_system([Matrix2(1.0, 0.0, 0.0, 1.0)] * 10, np.zeros(2), 0.9)
         assert report.max_ratio == 0.0
 
     def test_overflow_reported_unstable(self):
         report = simulate_factors([3.0] * 400, 1.0, 0.9)
         assert report.overflowed
-        assert not report.stable
 
     def test_certificate_bound_honored(self):
         m = Matrix2(0.4, 0.2, -0.1, 0.3)
@@ -230,38 +231,51 @@ class TestSimulation:
         assert report.bound == pytest.approx(math.sqrt(verdict.cond_p))
         assert report.within_bound
 
-    def test_time_varying_moment_schedule_falls_back_to_radii(self):
-        # beta1 decaying as 0.9/t with each step's rate in its own window;
-        # at rho = sqrt(0.9) the first step sits exactly on the boundary, so
-        # no common certificate exists and per-step radii carry the story
-        rho = math.sqrt(0.9)
-        mats = []
-        for t in range(1, 51):
-            beta = 0.9 / t
-            lo, hi = amsgrad_rate_window(beta, 1.0, 2.0)
-            mats.append(amsgrad_system(beta, (lo + hi) / 2.0, 2.0, 1.0))
-        cert = common_certificate(mats, rho)
-        assert not cert.valid_for_all
-        assert len(cert.per_step_radii) == 50
-        assert all(r <= rho + 1e-9 for r in cert.per_step_radii)
-        npt.assert_allclose(cert.per_step_radii[0], rho, atol=1e-9)
-        # the envelope still tracks rho^t decay within a bounded constant
-        report = simulate_system(mats, np.array([1.0, 1.0]), rho, None)
-        assert not report.overflowed
-        assert report.max_ratio < 20.0
 
-    def test_common_certificate_validates_stationary_sequence(self):
-        lo, hi = amsgrad_rate_window(0.9, 1.0, 2.0)
-        m = amsgrad_system(0.9, (lo + hi) / 2.0, 2.0, 1.0)
-        rho = math.sqrt(0.9) + 1e-6
-        cert = common_certificate([m] * 30, rho)
-        assert cert.valid_for_all
-        assert cert.cond_p >= 1.0
-        report = simulate_system([m] * 30, np.array([1.0, -0.5]), rho, cert.p)
-        assert report.within_bound
+def _draw(system, rng):
+    """Parameters of one seeded analysis, with eta on either side of contraction."""
+    L = 10.0 ** rng.uniform(-1.0, 1.0)
+    if system == "t1":
+        return {"L": L, "rho": rng.uniform(0.05, 0.95), "eta": rng.uniform(-0.5, 2.5) / L}
+    if system == "t2":
+        beta1 = rng.uniform(0.5, 0.99)
+        sqrtvhat = 10.0 ** rng.uniform(-2.0, 0.0)
+        hi = amsgrad_rate_window(beta1, sqrtvhat, L)[1]
+        return {"beta1": beta1, "sqrtvhat": sqrtvhat, "L": L, "eta": rng.uniform(0.0, 1.5) * hi,
+                "rho": rng.uniform(0.7, 1.0)}
+    kappa = 10.0 ** rng.uniform(1.0, 3.7)
+    return {"kappa": kappa, "xi": rng.uniform(0.05, 1.0) * math.sqrt(kappa), "L": L,
+            "eta": rng.uniform(-0.5, 1.5) / L, "rho": rng.uniform(0.5, 0.999)}
 
-    def test_vhat_representatives(self):
-        reps = sqrt_vhat_representatives(np.array([4.0, 9.0, 16.0]))
-        assert reps == {"min": 2.0, "mean": pytest.approx(3.0), "max": 4.0}
-        with pytest.raises(ValueError):
-            sqrt_vhat_representatives(np.array([-1.0]))
+
+class TestAnalyze:
+    @pytest.mark.parametrize("system, params", [
+        ("t1", {"L": 2.0, "rho": 0.5, "eta": 0.6}),
+        ("t2", {"beta1": 0.9, "sqrtvhat": 1.0, "L": 1.0, "eta": 1.0}),
+        ("t3", {"kappa": 1000.0, "xi": 10.0, "L": 1.0, "eta": 0.5, "rho": 0.996}),
+    ])
+    def test_cli_prints_the_report(self, system, params, capsys):
+        argv = ["stability", system] + [f"--{k}={v!r}" for k, v in params.items()]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == json.dumps(analyze(system, **params), indent=2) + "\n"
+
+    @pytest.mark.parametrize("system", ["t1", "t2", "t3"])
+    def test_certificate_present_exactly_when_contracting(self, system):
+        rng = SeededRng({"t1": 21, "t2": 22, "t3": 23}[system])
+        contracting = 0
+        for _ in range(500):
+            report = analyze(system, **_draw(system, rng))
+            radius, rho = report["spectral_radius"], report["rho"]
+            if abs(radius - rho) <= AGREEMENT_TOL:
+                continue
+            certified = (report["lyapunov_p"] is not None if system == "t1"
+                         else report["lmi_feasible"])
+            assert certified == (radius < rho)
+            if certified and system != "t1":
+                assert report["envelope"]["within_bound"]
+            contracting += certified
+        assert 50 < contracting < 450  # both sides of contraction were drawn
+
+    def test_unknown_system_rejected(self):
+        with pytest.raises(ValueError, match="unknown system"):
+            analyze("t4", L=1.0, eta=0.5, rho=0.9)
