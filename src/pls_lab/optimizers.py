@@ -4,11 +4,9 @@ Three base updates (plain descent, max-normalized adaptive moments,
 accelerated momentum) share one loop; the adaptive-smoothness variants are
 the same updates driven by a different step-size source. Each iteration
 follows the same line order: sample batch, gradient, smoothness
-prediction, step size, moment updates, parameter update.
-
-A step size may be a scalar or a per-coordinate vector (one value per
-parameter group, expanded to coordinates), so per-layer rates reuse the
-same code path as global ones.
+prediction, step size, moment updates, parameter update. Every update
+takes one scalar step size and advances one rate group's slice of the
+iterate in place.
 """
 
 from __future__ import annotations
@@ -18,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergenceError
 from .rng import SeededRng
 from .smoothness import SmoothnessEstimator
 
@@ -37,13 +34,9 @@ BATCH_STREAM = 1  # spawn key for the batch-sampling substream of a run seed
 WHOLE = ((0, None),)
 
 
-def sgd_step(x: np.ndarray, g: np.ndarray, eta) -> np.ndarray:
-    """x - eta * g. eta may be a scalar or per-coordinate vector."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        x_new = x - eta * g
-    if not np.all(np.isfinite(x_new)):
-        raise DivergenceError("non-finite iterate after descent step")
-    return x_new
+def sgd_step(x: np.ndarray, g: np.ndarray, eta: float) -> None:
+    """x -= eta * g, in place."""
+    x -= eta * g
 
 
 class AmsgradState:
@@ -68,21 +61,17 @@ class AmsgradState:
         self.beta1_schedule = beta1_schedule
         self.t = 0
 
-    def step(self, x: np.ndarray, g: np.ndarray, eta) -> np.ndarray:
+    def step(self, x: np.ndarray, g: np.ndarray, eta: float) -> None:
         self.t += 1
         b1t = self.beta1 / self.t if self.beta1_schedule == "over_t" else self.beta1
-        with np.errstate(over="ignore", invalid="ignore"):
-            self.m *= b1t
-            self.m += (1.0 - b1t) * g
-            self.v *= self.beta2
-            self.v += (1.0 - self.beta2) * (g * g)
-            np.maximum(self.v, self.vhat, out=self.vhat)
-            denom = np.sqrt(self.vhat)
-            np.maximum(denom, VHAT_FLOOR, out=denom)
-            x_new = x - eta * (self.m / denom)
-        if not np.all(np.isfinite(x_new)):
-            raise DivergenceError("non-finite iterate after adaptive-moment step")
-        return x_new
+        self.m *= b1t
+        self.m += (1.0 - b1t) * g
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * (g * g)
+        np.maximum(self.v, self.vhat, out=self.vhat)
+        denom = np.sqrt(self.vhat)
+        np.maximum(denom, VHAT_FLOOR, out=denom)
+        x -= eta * (self.m / denom)
 
 
 def accsgd_coefficients(kappa: float, xi: float) -> tuple[float, float, float]:
@@ -130,14 +119,12 @@ class AccsgdState:
             raise ValueError("m0 must be 'x0' or 'zero'")
         return cls(m, alpha, a, b)
 
-    def step(self, x: np.ndarray, g: np.ndarray, eta) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            self.m *= self.alpha
-            self.m += (1.0 - self.alpha) * (x - (self.a * eta) * g)
-            x_new = (1.0 - self.b) * (x - eta * g) + self.b * self.m
-        if not np.all(np.isfinite(x_new)):
-            raise DivergenceError("non-finite iterate after accelerated step")
-        return x_new
+    def step(self, x: np.ndarray, g: np.ndarray, eta: float) -> None:
+        self.m *= self.alpha
+        self.m += (1.0 - self.alpha) * (x - (self.a * eta) * g)
+        x -= eta * g
+        x *= 1.0 - self.b
+        x += self.b * self.m
 
 
 class FixedRate:
@@ -205,36 +192,34 @@ class PlsRate:
 
 @dataclass
 class TrainRecord:
-    """One log row: losses, per-group rates and smoothness, wall time."""
+    """One log row: losses and per-group rates and smoothness."""
 
     iter: int
     train_loss: float
     test_loss: float | None
     etas: tuple[float, ...] | None
     l_hats: tuple[float | None, ...] | None
-    wall_ms: float
     diverged: bool
 
 
 @dataclass
 class RunResult:
+    """The log of a run and where it ended.
+
+    ``x_final`` is the last iterate; after a divergence found in the
+    iterate it holds that non-finite iterate. ``wall_ms`` times the whole
+    run, initial evaluation included.
+    """
+
     records: list[TrainRecord]
     x_final: np.ndarray
     diverged_at: int | None
+    wall_ms: float
     trajectory: list[np.ndarray] | None = field(default=None)
 
     @property
     def diverged(self) -> bool:
         return self.diverged_at is not None
-
-
-def _expand_rates(groups, etas, dim):
-    if len(etas) == 1:
-        return etas[0]
-    eta_vec = np.empty(dim)
-    for (lo, hi), eta in zip(groups, etas):
-        eta_vec[lo:hi] = eta
-    return eta_vec
 
 
 def run_optimizer(
@@ -258,12 +243,14 @@ def run_optimizer(
 ) -> RunResult:
     """Run one optimizer for ``steps`` iterations and log every iteration.
 
-    Batches of ``batch_size`` indices are sampled IID per draw from the
-    run seed's batch substream; a batch size of at least n means the exact
-    full-sum gradient. The run halts early (without raising) when the
-    batch loss exceeds LOSS_CAP or anything becomes non-finite; the last
-    record carries the diverged flag. Identical (config, seed) pairs
-    produce identical trajectories.
+    Each rate group of ``rate_source`` gets its own update state; every
+    step applies the group's scalar step size in place to its slice of
+    the iterate. Batches of ``batch_size`` indices are sampled IID per
+    draw from the run seed's batch substream; a batch size of at least n
+    means the exact full-sum gradient. The run halts early (without
+    raising) when the batch loss exceeds LOSS_CAP or anything becomes
+    non-finite; the last record carries the diverged flag. Identical
+    (config, seed) pairs produce identical trajectories.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"algorithm must be one of {ALGORITHMS}")
@@ -273,29 +260,24 @@ def run_optimizer(
         raise ValueError("batch size must be positive")
 
     x = np.array(x0, dtype=np.float64, copy=True)
-    dim = x.size
-    state = None
-    if algorithm == "amsgrad":
-        state = AmsgradState(dim, beta1, beta2, beta1_schedule)
-    elif algorithm == "accsgd":
-        state = AccsgdState.from_params(kappa, xi, x, m0=accsgd_m0)
+    slices = [slice(lo, hi) for lo, hi in rate_source.groups]
+    if algorithm == "sgd":
+        updates = [sgd_step] * len(slices)
+    elif algorithm == "amsgrad":
+        updates = [AmsgradState(x[s].size, beta1, beta2, beta1_schedule).step for s in slices]
+    else:
+        updates = [AccsgdState.from_params(kappa, xi, x[s], m0=accsgd_m0).step for s in slices]
 
     batch_rng = SeededRng(seed).spawn(BATCH_STREAM)
     full_batch = np.arange(obj.n)
     t_start = time.perf_counter()
-
-    def elapsed_ms():
-        return (time.perf_counter() - t_start) * 1e3
 
     def maybe_test(x_now, t):
         if test_fn is None or t % test_every != 0:
             return None
         return float(test_fn(x_now))
 
-    records = [
-        TrainRecord(0, obj.full_value(x), maybe_test(x, 0), None, None,
-                    elapsed_ms(), False)
-    ]
+    records = [TrainRecord(0, obj.full_value(x), maybe_test(x, 0), None, None, False)]
     trajectory = [x.copy()] if keep_trajectory else None
     diverged_at = None
 
@@ -304,34 +286,24 @@ def run_optimizer(
         with np.errstate(over="ignore", invalid="ignore"):
             loss, g = obj.value_and_grad(x, batch)
         if not np.isfinite(loss) or loss > LOSS_CAP or not np.all(np.isfinite(g)):
-            records.append(
-                TrainRecord(t, float(loss), None, None, None, elapsed_ms(), True)
-            )
+            records.append(TrainRecord(t, float(loss), None, None, None, True))
             diverged_at = t
             break
 
         group_rates = rate_source.rates(t, x, g)
         etas = tuple(eta for eta, _ in group_rates)
         l_hats = tuple(l for _, l in group_rates)
-        eta = _expand_rates(rate_source.groups, etas, dim)
-
-        try:
-            if algorithm == "sgd":
-                x = sgd_step(x, g, eta)
-            else:
-                x = state.step(x, g, eta)
-        except DivergenceError:
-            records.append(
-                TrainRecord(t, float(loss), None, etas, l_hats, elapsed_ms(), True)
-            )
+        with np.errstate(over="ignore", invalid="ignore"):
+            for update, s, eta in zip(updates, slices, etas):
+                update(x[s], g[s], eta)
+        if not np.all(np.isfinite(x)):
+            records.append(TrainRecord(t, float(loss), None, etas, l_hats, True))
             diverged_at = t
             break
 
         if keep_trajectory:
             trajectory.append(x.copy())
-        records.append(
-            TrainRecord(t, float(loss), maybe_test(x, t), etas, l_hats,
-                        elapsed_ms(), False)
-        )
+        records.append(TrainRecord(t, float(loss), maybe_test(x, t), etas, l_hats, False))
 
-    return RunResult(records, x, diverged_at, trajectory)
+    wall_ms = (time.perf_counter() - t_start) * 1e3
+    return RunResult(records, x, diverged_at, wall_ms, trajectory)

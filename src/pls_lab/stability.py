@@ -234,6 +234,19 @@ class DecayReport:
     overflowed: bool
 
 
+def _envelope_ratio(norm: float, t: int, rho: float, pow_rho: float, scale: float) -> float:
+    """norm / (rho^t * scale); from logs once rho^t * scale underflows to 0."""
+    den = pow_rho * scale
+    if den > 0.0:
+        return norm / den
+    if norm == 0.0:
+        return 0.0
+    try:
+        return math.exp(math.log(norm) - t * math.log(rho) - math.log(scale))
+    except OverflowError:
+        return math.inf
+
+
 def simulate_factors(factors, z0: float, rho: float) -> DecayReport:
     """Iterate the scalar system z <- f_t * z and measure the envelope."""
     z = float(z0)
@@ -242,12 +255,12 @@ def simulate_factors(factors, z0: float, rho: float) -> DecayReport:
     scale = abs(z)
     max_ratio = 1.0
     pow_rho = 1.0
-    for f in factors:
+    for t, f in enumerate(factors, 1):
         z *= f
         pow_rho *= rho
         if not math.isfinite(z) or abs(z) > 1e150:
             return DecayReport(math.inf, None, None, True)
-        max_ratio = max(max_ratio, abs(z) / (pow_rho * scale))
+        max_ratio = max(max_ratio, _envelope_ratio(abs(z), t, rho, pow_rho, scale))
     return DecayReport(max_ratio, None, None, False)
 
 
@@ -266,13 +279,14 @@ def simulate_system(
         return DecayReport(0.0, bound, True if bound is not None else None, False)
     max_ratio = 1.0
     pow_rho = 1.0
-    for m in matrices:
-        z = m.as_array() @ z
+    for t, m in enumerate(matrices, 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = m.as_array() @ z
+            norm = float(np.linalg.norm(z))
         pow_rho *= rho
-        norm = float(np.linalg.norm(z))
         if not math.isfinite(norm) or norm > 1e150:
             return DecayReport(math.inf, bound, False if bound is not None else None, True)
-        max_ratio = max(max_ratio, norm / (pow_rho * scale))
+        max_ratio = max(max_ratio, _envelope_ratio(norm, t, rho, pow_rho, scale))
     within = (max_ratio <= bound * (1.0 + 1e-9)) if bound is not None else None
     return DecayReport(max_ratio, bound, within, False)
 
@@ -329,9 +343,9 @@ def analyze(
             "lyapunov_p": 1.0 / (rho**2 - factor**2) if abs(factor) < rho else None,
         }
     elif system == "t2":
+        window = amsgrad_rate_window(beta1, sqrtvhat, L)
         if rho is None:
             rho = math.sqrt(beta1)
-        window = amsgrad_rate_window(beta1, sqrtvhat, L)
         verdict, sim = _certified(amsgrad_system(beta1, eta, L, sqrtvhat), rho, steps)
         stable = window[0] < eta < window[1]
         report = {

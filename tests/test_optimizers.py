@@ -1,10 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from pls_lab.errors import DivergenceError
 from pls_lab.optimizers import (
     AccsgdState,
     AmsgradState,
@@ -26,30 +26,27 @@ def isotropic_quadratic(curvature=1.0, dim=3, n=10, seed=2):
 
 class TestSgdStep:
     def test_scalar(self):
-        npt.assert_array_equal(sgd_step(np.array([1.0]), np.array([2.0]), 0.25), [0.5])
+        x = np.array([1.0])
+        assert sgd_step(x, np.array([2.0]), 0.25) is None
+        npt.assert_array_equal(x, [0.5])
 
     def test_zero_gradient_fixed_point(self):
         x = np.array([1.0, -2.0])
-        npt.assert_array_equal(sgd_step(x, np.zeros(2), 0.1), x)
+        sgd_step(x, np.zeros(2), 0.1)
+        npt.assert_array_equal(x, [1.0, -2.0])
 
     def test_one_step_exact_on_matched_curvature(self):
         # curvature 2 with step 1/2 lands on the minimizer in one step
-        npt.assert_array_equal(sgd_step(np.array([1.0]), np.array([2.0]), 0.5), [0.0])
-
-    def test_per_coordinate_rates(self):
-        x = np.array([1.0, 1.0])
-        out = sgd_step(x, np.array([1.0, 1.0]), np.array([0.1, 0.5]))
-        npt.assert_array_equal(out, [0.9, 0.5])
-
-    def test_non_finite_raises(self):
-        with pytest.raises(DivergenceError):
-            sgd_step(np.array([1e308]), np.array([-1e308]), 10.0)
+        x = np.array([1.0])
+        sgd_step(x, np.array([2.0]), 0.5)
+        npt.assert_array_equal(x, [0.0])
 
 
 class TestAmsgrad:
     def test_first_step_hand_trace(self):
         st = AmsgradState(1, beta1=0.9, beta2=0.999)
-        x = st.step(np.array([0.0]), np.array([1.0]), 0.1)
+        x = np.array([0.0])
+        assert st.step(x, np.array([1.0]), 0.1) is None
         npt.assert_allclose(st.m, [0.1], rtol=1e-15)
         npt.assert_allclose(st.v, [0.001], rtol=1e-15)
         npt.assert_allclose(st.vhat, [0.001], rtol=1e-15)
@@ -59,7 +56,7 @@ class TestAmsgrad:
         st = AmsgradState(2)
         x = np.array([1.0, -1.0])
         for _ in range(5):
-            x = st.step(x, np.zeros(2), 0.1)
+            st.step(x, np.zeros(2), 0.1)
         npt.assert_array_equal(x, [1.0, -1.0])
 
     def test_running_max_never_decreases(self):
@@ -67,7 +64,7 @@ class TestAmsgrad:
         x = np.zeros(1)
         seen = []
         for g in (1.0, 0.0, 0.0, 0.0, 0.5):
-            x = st.step(x, np.array([g]), 0.01)
+            st.step(x, np.array([g]), 0.01)
             seen.append(st.vhat[0])
         assert all(b >= a for a, b in zip(seen, seen[1:]))
         # after the g=1 step the max is pinned until something larger arrives
@@ -108,7 +105,7 @@ class TestAccsgd:
         st = AccsgdState.from_params(1000.0, 10.0, x0, m0="x0")
         x = x0.copy()
         for _ in range(10):
-            x = st.step(x, np.zeros(2), 0.01)
+            st.step(x, np.zeros(2), 0.01)
         npt.assert_allclose(x, x0, rtol=1e-13)
         npt.assert_allclose(st.m, x0, rtol=1e-13)
 
@@ -125,7 +122,8 @@ class TestAccsgd:
             0.7 + (1 - alpha)
         ) * m_next
         st = AccsgdState.from_params(kappa, xi, np.array([m]))
-        got = st.step(np.array([x]), np.array([g]), eta)
+        got = np.array([x])
+        assert st.step(got, np.array([g]), eta) is None
         npt.assert_allclose(got, [x_next], rtol=1e-12)
         npt.assert_allclose(st.m, [m_next], rtol=1e-12)
 
@@ -134,7 +132,8 @@ class TestAccsgd:
         a, b = 10.0, 0.3
         st = AccsgdState(np.array([2.0]), alpha=0.0, a=a, b=b)
         x, g, eta = np.array([1.0]), np.array([0.5]), 0.1
-        got = st.step(x, g, eta)
+        got = x.copy()
+        st.step(got, g, eta)
         m_expect = x - a * eta * g
         npt.assert_allclose(st.m, m_expect, rtol=1e-15)
         npt.assert_allclose(got, (1 - b) * (x - eta * g) + b * m_expect, rtol=1e-15)
@@ -217,6 +216,39 @@ class TestRunOptimizer:
             assert [r.train_loss for r in ra.records] == [
                 r.train_loss for r in rb.records
             ]
+
+    def test_group_rates_apply_to_their_own_slices(self):
+        # a diagonal quadratic separates by coordinate, so each group of a
+        # two-group run must follow the one-rate run at that group's rate
+        prob = QuadraticProblem.random(4, 10, [1.0, 2.0, 0.5, 3.0], 1.0, SeededRng(5))
+        e1, e2 = 0.1, 0.3
+        kw = dict(steps=30, seed=6, x0=np.ones(prob.d), batch_size=3)
+        for algo in ("sgd", "amsgrad", "accsgd"):
+            grouped = PlsRate([(0, 2), (2, 4)], 0.01, 0.01, 0.01)
+            for est, eta in zip(grouped.estimators, (e1, e2)):
+                est.predict = lambda x, g, r=SmoothnessReading(1.0, eta): r
+            rg = run_optimizer(prob, algo, grouped, **kw)
+            r1 = run_optimizer(prob, algo, FixedRate(e1), **kw)
+            r2 = run_optimizer(prob, algo, FixedRate(e2), **kw)
+            assert not (rg.diverged or r1.diverged or r2.diverged)
+            assert rg.records[-1].etas == (e1, e2)
+            npt.assert_array_equal(rg.x_final[:2], r1.x_final[:2])
+            npt.assert_array_equal(rg.x_final[2:], r2.x_final[2:])
+
+    def test_non_finite_iterate_ends_run_at_that_step(self):
+        prob = isotropic_quadratic()
+        for algo in ("sgd", "amsgrad", "accsgd"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                res = run_optimizer(prob, algo, FixedRate(1e308), steps=10, seed=1,
+                                    x0=np.full(prob.d, 10.0), batch_size=4)
+            assert res.diverged_at == 1
+            assert len(res.records) == 2
+            last = res.records[-1]
+            assert last.iter == 1 and last.diverged
+            assert last.etas == (1e308,)
+            assert last.test_loss is None
+            assert not np.all(np.isfinite(res.x_final))
 
     def test_adaptive_contraction_on_isotropic_quadratic(self):
         prob = isotropic_quadratic(curvature=1.0, dim=2, n=8)

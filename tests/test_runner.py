@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -324,6 +325,43 @@ class TestCli:
         assert main(["stability", "t2", "--beta1", "1.0", "--sqrtvhat", "1",
                      "--L", "1", "--eta", "0.5"]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["t1", "--L", "2", "--rho", "1e-5", "--eta", "0.4"],
+        ["t2", "--beta1", "0.9", "--sqrtvhat", "1", "--L", "1", "--eta", "1.0", "--rho", "1e-5"],
+    ])
+    def test_stability_envelope_past_underflowing_rho_power(self, argv, capsys):
+        # rho^t underflows to 0 within the simulated steps; the ratio
+        # grows past the float range and is reported as null
+        assert main(["stability", *argv]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        envelope = json.loads(captured.out)["envelope"]
+        assert envelope["max_ratio"] is None
+        assert not envelope["overflowed"]
+
+    def test_stability_factor_below_tiny_rho_stays_in_envelope(self, capsys):
+        # factor 1 - 0.999991 = 0.9e-5 decays faster than rho = 1e-5
+        assert main(["stability", "t1", "--L", "1", "--rho", "1e-5", "--eta", "0.999991"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        npt.assert_allclose(out["factor"], 0.9e-5, rtol=1e-9)
+        assert out["envelope"]["max_ratio"] == 1.0
+
+    def test_stability_overflowing_simulation_prints_no_warning(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["stability", "t2", "--beta1", "0.9", "--sqrtvhat", "1",
+                         "--L", "1", "--eta", "1e308"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        envelope = json.loads(captured.out)["envelope"]
+        assert envelope["overflowed"]
+        assert envelope["max_ratio"] is None
+
+    def test_stability_t2_names_a_bad_beta1_before_the_default_rho(self, capsys):
+        assert main(["stability", "t2", "--beta1", "-0.5", "--sqrtvhat", "1",
+                     "--L", "1", "--eta", "0.5"]) == 2
+        assert capsys.readouterr().err == "error: beta1 must lie strictly in (0, 1)\n"
 
     def test_gradcheck_subcommand(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -203,7 +203,7 @@ class TestAccsgdSystem:
         z = np.array([st.m[0] - x_star, x[0] - x_star])
         m2 = accsgd_system(kappa, xi, eta, L).as_array()
         for _ in range(5):
-            x = st.step(x, L * (x - x_star), eta)
+            st.step(x, L * (x - x_star), eta)
             z = m2 @ z
             npt.assert_allclose(z, [st.m[0] - x_star, x[0] - x_star], rtol=1e-10)
 
@@ -218,6 +218,18 @@ class TestSimulation:
     def test_zero_start_stays_zero(self):
         report = simulate_system([Matrix2(1.0, 0.0, 0.0, 1.0)] * 10, np.zeros(2), 0.9)
         assert report.max_ratio == 0.0
+
+    def test_envelope_past_underflowing_rho_power(self):
+        # rho^t reaches 0.0 near t = 65; the ratio must still be measured
+        below = simulate_factors([0.9e-5] * 100, 1.0, 1e-5)
+        assert below.max_ratio == 1.0 and not below.overflowed
+        above = simulate_factors([0.2] * 100, 1.0, 1e-5)
+        assert math.isinf(above.max_ratio) and not above.overflowed
+        # 0.01^165 is 0.0 while 0.0125^165 is still a (subnormal) float
+        late = simulate_factors([0.0125] * 165, 1.0, 0.01)
+        npt.assert_allclose(late.max_ratio, 1.25**165, rtol=1e-6)
+        m = Matrix2(0.9e-5, 0.0, 0.0, 0.9e-5)
+        assert simulate_system([m] * 100, np.array([1.0, 1.0]), 1e-5).max_ratio == 1.0
 
     def test_overflow_reported_unstable(self):
         report = simulate_factors([3.0] * 400, 1.0, 0.9)
