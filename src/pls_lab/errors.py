@@ -21,13 +21,19 @@ class IdxFormatError(PlsLabError):
     """Malformed IDX file. ``offset`` is the byte position of the problem."""
 
     def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (at byte offset {offset})")
+        super().__init__(message, offset)  # the constructor's args: it pickles
         self.offset = offset
+
+    def __str__(self) -> str:
+        return f"{self.args[0]} (at byte offset {self.offset})"
 
 
 class ConfigError(PlsLabError):
     """Invalid experiment configuration. ``field`` is the offending key path."""
 
     def __init__(self, field: str, message: str):
-        super().__init__(f"{field}: {message}")
+        super().__init__(field, message)  # the constructor's args: it pickles
         self.field = field
+
+    def __str__(self) -> str:
+        return f"{self.field}: {self.args[1]}"

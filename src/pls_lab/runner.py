@@ -14,7 +14,11 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
+import os
+import pickle
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -183,15 +187,56 @@ def execute(cfg: ExperimentConfig, out_dir) -> dict:
 
 
 def execute_config(config_dict: dict, out_dir: str) -> dict:
-    """Process-pool-friendly wrapper: validate a raw dict and run it."""
+    """Validate a raw config dict and run it."""
     return execute(ExperimentConfig.from_dict(config_dict), out_dir)
+
+
+_JOB_COMMAND = (sys.executable, "-c",
+                "import sys; from pls_lab.runner import _run_job; sys.exit(_run_job(sys.argv[1]))")
+
+
+def _run_job(out_dir: str) -> int:
+    """Body of a grid job's interpreter: run the config read as JSON from
+    stdin; on an error write the pickled exception to stdout and return 1."""
+    try:
+        execute_config(json.load(sys.stdin), out_dir)
+    except Exception as exc:
+        sys.stdout.buffer.write(pickle.dumps(exc))
+        return 1
+    return 0
+
+
+def _job_environment() -> dict:
+    """The caller's environment with one BLAS/OpenMP thread, and this
+    pls_lab's source directory in front of the caller's PYTHONPATH, so a
+    job imports the same pls_lab (PYTHONSAFEPATH keeps the working
+    directory off its sys.path)."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    caller = [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+                PYTHONSAFEPATH="1", PYTHONPATH=os.pathsep.join([src, *caller]))
+
+
+def _run_in_interpreter(config_dict: dict, out_dir: str, env: dict) -> dict:
+    """Run one config in a fresh interpreter; re-raise the job's exception."""
+    proc = subprocess.run([*_JOB_COMMAND, out_dir], input=json.dumps(config_dict).encode(),
+                          env=env, stdout=subprocess.PIPE)
+    if proc.returncode == 1 and proc.stdout:
+        raise pickle.loads(proc.stdout)
+    if proc.returncode != 0:
+        raise RuntimeError(f"grid job for {out_dir} exited with status {proc.returncode}")
+    with open(Path(out_dir) / "summary.json") as fh:
+        return json.load(fh)
 
 
 def run_grid(config_paths, out_root, workers: int = 1) -> list[dict]:
     """Run several configs with isolated state and per-config output dirs.
 
     Each config writes to ``out_root/<file stem>``; two configs whose stems
-    clash are refused, like a bad config, before any run starts.
+    clash are refused, like a bad config, before any run starts. With
+    ``workers > 1`` each config runs in its own interpreter with one BLAS
+    thread, at most ``workers`` at a time; all of them have ended when
+    this returns or raises the first failed config's exception.
     """
     out_root = Path(out_root)
     jobs = []
@@ -206,8 +251,9 @@ def run_grid(config_paths, out_root, workers: int = 1) -> list[dict]:
         jobs.append((cfg.to_dict(), out))
     if workers <= 1:
         return [execute_config(d, out) for d, out in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(execute_config, d, out) for d, out in jobs]
+    env = _job_environment()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(_run_in_interpreter, d, out, env) for d, out in jobs]
         return [f.result() for f in futures]
 
 

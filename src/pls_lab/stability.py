@@ -234,17 +234,50 @@ class DecayReport:
     overflowed: bool
 
 
-def _envelope_ratio(norm: float, t: int, rho: float, pow_rho: float, scale: float) -> float:
-    """norm / (rho^t * scale); from logs once rho^t * scale underflows to 0."""
-    den = pow_rho * scale
-    if den > 0.0:
-        return norm / den
-    if norm == 0.0:
-        return 0.0
-    try:
-        return math.exp(math.log(norm) - t * math.log(rho) - math.log(scale))
-    except OverflowError:
-        return math.inf
+_TINY = 1e-300  # below this norm a simulated state is carried at unit norm
+_HUGE = 1e150  # beyond this norm a simulated trajectory has overflowed
+
+
+class _Envelope:
+    """Running max of ||z_t|| / (rho^t ||z_0||) along a simulated trajectory.
+
+    Once the state's norm falls below 1e-300 the simulation divides the
+    state by its norm each step and the log of the true norm is kept in
+    ``shift``, so a decaying state never underflows. The ratio comes from
+    logs while shifted or once rho^t ||z_0|| has underflowed to 0.
+    """
+
+    def __init__(self, rho: float, scale: float):
+        self.rho, self.scale = rho, scale
+        self.t, self.pow_rho, self.shift, self.max_ratio = 0, 1.0, 0.0, 1.0
+
+    def observe(self, norm: float) -> float | None:
+        """Take the next state's norm; return the divisor for the state, or
+        None once the trajectory has overflowed."""
+        self.t += 1
+        self.pow_rho *= self.rho
+        divisor = 1.0
+        if norm > 0.0 and (self.shift or norm < _TINY):
+            self.shift += math.log(norm)
+            divisor, norm = norm, 1.0
+        if not (norm <= _HUGE and self.shift <= math.log(_HUGE)):  # also nan
+            return None
+        ratio = self._ratio(norm)
+        if ratio > self.max_ratio:
+            self.max_ratio = ratio
+        return divisor
+
+    def _ratio(self, norm: float) -> float:
+        den = self.pow_rho * self.scale
+        if den > 0.0 and not self.shift:
+            return norm / den
+        if norm == 0.0:
+            return 0.0
+        try:
+            return math.exp(math.log(norm) + self.shift - self.t * math.log(self.rho)
+                            - math.log(self.scale))
+        except OverflowError:
+            return math.inf
 
 
 def simulate_factors(factors, z0: float, rho: float) -> DecayReport:
@@ -252,16 +285,15 @@ def simulate_factors(factors, z0: float, rho: float) -> DecayReport:
     z = float(z0)
     if z == 0.0:
         return DecayReport(0.0, None, None, False)
-    scale = abs(z)
-    max_ratio = 1.0
-    pow_rho = 1.0
-    for t, f in enumerate(factors, 1):
+    env = _Envelope(rho, abs(z))
+    for f in factors:
         z *= f
-        pow_rho *= rho
-        if not math.isfinite(z) or abs(z) > 1e150:
+        divisor = env.observe(abs(z))
+        if divisor is None:
             return DecayReport(math.inf, None, None, True)
-        max_ratio = max(max_ratio, _envelope_ratio(abs(z), t, rho, pow_rho, scale))
-    return DecayReport(max_ratio, None, None, False)
+        if divisor != 1.0:
+            z /= divisor
+    return DecayReport(env.max_ratio, None, None, False)
 
 
 def simulate_system(
@@ -277,16 +309,17 @@ def simulate_system(
     bound = math.sqrt(cond2(p)) if p is not None else None
     if scale == 0.0:
         return DecayReport(0.0, bound, True if bound is not None else None, False)
-    max_ratio = 1.0
-    pow_rho = 1.0
-    for t, m in enumerate(matrices, 1):
+    env = _Envelope(rho, scale)
+    for m in matrices:
         with np.errstate(over="ignore", invalid="ignore"):
             z = m.as_array() @ z
             norm = float(np.linalg.norm(z))
-        pow_rho *= rho
-        if not math.isfinite(norm) or norm > 1e150:
+        divisor = env.observe(norm)
+        if divisor is None:
             return DecayReport(math.inf, bound, False if bound is not None else None, True)
-        max_ratio = max(max_ratio, _envelope_ratio(norm, t, rho, pow_rho, scale))
+        if divisor != 1.0:
+            z /= divisor
+    max_ratio = env.max_ratio
     within = (max_ratio <= bound * (1.0 + 1e-9)) if bound is not None else None
     return DecayReport(max_ratio, bound, within, False)
 

@@ -9,8 +9,7 @@ and run their training grids through a process pool.
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
-from multiprocessing import get_context
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -20,7 +19,7 @@ from pls_lab.linalg import Matrix2, eig2x2, solve_discrete_lyapunov2, spectral_r
 from pls_lab.optimizers import FixedRate, PlsRate, run_optimizer
 from pls_lab.problems import MlpLsrProblem, QuadraticProblem, finite_diff_grad, glorot_init
 from pls_lab.rng import SeededRng
-from pls_lab.runner import build_problem, execute_config
+from pls_lab.runner import build_problem, execute_config, run_grid
 from pls_lab.stability import (
     accsgd_nominal_eigenvalues,
     accsgd_stability,
@@ -31,7 +30,6 @@ from pls_lab.stability import (
 from pls_lab.config import ExperimentConfig
 
 from conftest import mlp_classification_config
-from _threadpin import pin_single_thread
 
 pytestmark = pytest.mark.acceptance
 
@@ -40,17 +38,16 @@ GRID = (0.011, 0.009, 0.008, 0.007, 0.006, 0.005, 0.004)
 SEEDS = (1, 2, 3, 4, 5)
 
 
-def _pool():
-    return ProcessPoolExecutor(
-        max_workers=2, mp_context=get_context("spawn"), initializer=pin_single_thread
-    )
-
-
 def _run_jobs(jobs):
-    """jobs: list of (config_dict, out_dir) -> list of summary dicts."""
-    with _pool() as pool:
-        futures = [pool.submit(execute_config, cfg, out) for cfg, out in jobs]
-        return [f.result() for f in futures]
+    """jobs: list of (config_dict, out_dir) -> list of summary dicts. The
+    out dirs share one parent; each config is written next to its out dir
+    as <out-dir-name>.json and the grid runs them on 2 workers."""
+    paths = []
+    for cfg, out in jobs:
+        path = Path(f"{out}.json")
+        path.write_text(json.dumps(cfg))
+        paths.append(path)
+    return run_grid(paths, Path(jobs[0][1]).parent, workers=2)
 
 
 def _pls_rate(eta0=0.002, eps=0.01):

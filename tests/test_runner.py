@@ -1,14 +1,19 @@
 import json
+import os
+import pickle
 import warnings
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import pls_lab
 import pls_lab.cli as cli_mod
+from pls_lab import errors
 from pls_lab.cli import main
 from pls_lab.config import ExperimentConfig
-from pls_lab.errors import ConfigError
+from pls_lab.errors import ConfigError, IdxFormatError
 from pls_lab.problems import QuadraticProblem
 from pls_lab.runner import build_problem, execute, execute_config, gradcheck_report, run_grid
 
@@ -25,6 +30,9 @@ def quadratic_pls_config(steps=200, seed=1, curvature=1.0, eta0=0.5):
         "seed": seed,
         "batch_size": 50,  # full batch: n_samples == batch_size
     }
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 # every float flag of each stability system, with a valid value
@@ -347,6 +355,15 @@ class TestCli:
         npt.assert_allclose(out["factor"], 0.9e-5, rtol=1e-9)
         assert out["envelope"]["max_ratio"] == 1.0
 
+    def test_stability_envelope_of_a_state_below_the_float_range(self, capsys):
+        # factor 2e-5 against rho = 1e-5: the state passes 1e-300 at step 64
+        # and would underflow to 0 near step 70
+        assert main(["stability", "t1", "--L", "1", "--rho", "1e-5", "--eta", "0.99998"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        npt.assert_allclose(out["envelope"]["max_ratio"], (out["factor"] / 1e-5) ** 100,
+                            rtol=1e-9)
+        npt.assert_allclose(out["envelope"]["max_ratio"], 1.2676506e30, rtol=1e-7)
+
     def test_stability_overflowing_simulation_prints_no_warning(self, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -426,3 +443,164 @@ def test_grid_refuses_configs_sharing_an_output_dir(tmp_path):
         run_grid(paths, tmp_path / "out")
     assert str(paths[0]) in str(exc.value) and str(paths[1]) in str(exc.value)
     assert not (tmp_path / "out").exists()
+
+
+# --- the grid's pool of job interpreters ---
+
+
+def _error_samples():
+    return {
+        errors.PlsLabError: errors.PlsLabError("base"),
+        errors.DivergenceError: errors.DivergenceError("loss is nan"),
+        errors.SingularSystemError: errors.SingularSystemError("resonance"),
+        errors.ConsistencyError: errors.ConsistencyError("routes disagree"),
+        errors.IdxFormatError: errors.IdxFormatError("truncated dimension header", 7),
+        errors.ConfigError: errors.ConfigError("rate.eta0", "must be positive"),
+    }
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_package_error_round_trips_through_pickle():
+    samples = _error_samples()
+    assert set(samples) == {errors.PlsLabError, *_subclasses(errors.PlsLabError)}
+    for cls, exc in samples.items():
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is cls
+        assert str(back) == str(exc)
+        assert back.args == exc.args and vars(back) == vars(exc)
+    idx_error = pickle.loads(pickle.dumps(samples[errors.IdxFormatError]))
+    assert str(idx_error) == "truncated dimension header (at byte offset 7)"
+    assert idx_error.offset == 7
+    config_error = pickle.loads(pickle.dumps(samples[errors.ConfigError]))
+    assert str(config_error) == "rate.eta0: must be positive"
+    assert config_error.field == "rate.eta0"
+
+
+def _garbage_data(root):
+    """The shipped configs' data/*.idx files, each holding b"garbage"."""
+    (root / "data").mkdir(parents=True)
+    for name in ("train-images", "train-labels", "test-images", "test-labels"):
+        (root / "data" / f"{name}.idx").write_bytes(b"garbage")
+
+
+def _children() -> list[int]:
+    """Processes whose parent is this process."""
+    me = os.getpid()
+    found = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                stat = fh.read()
+        except OSError:  # ended while listed
+            continue
+        if int(stat.rsplit(")", 1)[1].split()[1]) == me:
+            found.append(int(entry))
+    return found
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_grid_error_is_reported_alike_for_any_worker_count(workers, tmp_path, monkeypatch,
+                                                          capfd):
+    _garbage_data(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    code = main(["grid", "--configs", str(CONFIGS / "classification.json"),
+                 str(CONFIGS / "reconstruction.json"), "--workers", workers])
+    captured = capfd.readouterr()
+    assert code == 2
+    assert captured.err == (
+        "error: magic 0x67617262 is not a supported uint8 layout "
+        "(expected 0x00000803 or 0x00000801) (at byte offset 0)\n"
+    )
+
+
+def _quadratic_configs(root, seeds):
+    paths = []
+    for k, seed in enumerate(seeds):
+        paths.append(root / f"q{k}.json")
+        paths[-1].write_text(json.dumps(quadratic_pls_config(steps=5, seed=seed)))
+    return paths
+
+
+def test_grid_jobs_run_pinned_with_the_callers_pls_lab(tmp_path, monkeypatch):
+    site = tmp_path / "site"
+    log = tmp_path / "log"
+    work = tmp_path / "work"
+    decoy = tmp_path / "decoy" / "pls_lab"  # another pls_lab on the caller's path
+    for d in (site, log, work, decoy):
+        d.mkdir(parents=True)
+    (decoy / "__init__.py").write_text("")
+    # each job interpreter writes its thread settings, sys.path and pls_lab on exit
+    (site / "sitecustomize.py").write_text(
+        "import atexit, json, os, sys\n"
+        "def _record():\n"
+        "    record = {k: os.environ.get(k) for k in ('OMP_NUM_THREADS', 'OPENBLAS_NUM_THREADS')}\n"
+        "    record['path'] = sys.path\n"
+        "    record['pls_lab'] = getattr(sys.modules.get('pls_lab'), '__file__', None)\n"
+        f"    with open(os.path.join({str(log)!r}, f'{{os.getpid()}}.json'), 'w') as fh:\n"
+        "        json.dump(record, fh)\n"
+        "atexit.register(_record)\n"
+    )
+    monkeypatch.chdir(work)
+    # the trailing separator would put the working directory on the path
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join([str(site), str(decoy.parent), ""]))
+    run_grid(_quadratic_configs(tmp_path, (3, 4)), tmp_path / "out", workers=2)
+    records = [json.loads(p.read_text()) for p in log.iterdir()]
+    assert len(records) == 2
+    for record in records:
+        assert record["OMP_NUM_THREADS"] == "1" and record["OPENBLAS_NUM_THREADS"] == "1"
+        assert str(site) in record["path"]
+        assert "" not in record["path"] and str(work) not in record["path"]
+        assert Path(record["pls_lab"]).resolve() == Path(pls_lab.__file__).resolve()
+
+
+def test_grid_leaves_no_process_running(tmp_path, monkeypatch):
+    paths = _quadratic_configs(tmp_path, (3, 4, 5))
+    assert len(run_grid(paths, tmp_path / "out", workers=2)) == 3
+    assert _children() == []
+
+    _garbage_data(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    bad = [CONFIGS / "classification.json", CONFIGS / "reconstruction.json", *paths]
+    with pytest.raises(IdxFormatError) as exc:
+        run_grid(bad, tmp_path / "bad", workers=2)
+    assert exc.value.offset == 0
+    assert _children() == []
+
+
+def _assert_parallel_matches_serial(config_paths, out_root):
+    for workers in ("1", "2"):
+        assert main(["grid", "--configs", *map(str, config_paths),
+                     "--out", str(out_root / workers), "--workers", workers]) == 0
+    for path in config_paths:
+        serial, parallel = (out_root / w / Path(path).stem for w in ("1", "2"))
+        assert (serial / "records.csv").read_bytes() == (parallel / "records.csv").read_bytes()
+        summaries = [json.loads((d / "summary.json").read_text()) for d in (serial, parallel)]
+        for summary in summaries:
+            del summary["wall_ms_total"]
+        assert summaries[0] == summaries[1]
+
+
+def test_parallel_grid_matches_serial_on_the_quadratic(tmp_path, capsys):
+    _assert_parallel_matches_serial([CONFIGS / "quadratic.json"], tmp_path)
+
+
+def test_parallel_grid_matches_serial_on_a_small_net(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert main(["make-dataset", "--out", str(data), "--train", "200", "--test", "50",
+                 "--rows", "8", "--cols", "8", "--seed", "3"]) == 0
+    pls = {"kind": "pls", "eta0": 0.01, "eps1": 0.01, "eps2": 0.01, "per_group": True}
+    paths = []
+    for algorithm in ("sgd", "amsgrad", "accsgd"):
+        cfg = mlp_classification_config(data, layers=[64, 16, 10], steps=40, seed=7,
+                                        rate=pls, algorithm=algorithm, batch_size=20,
+                                        limit=150, extra={"test_every": 10})
+        paths.append(tmp_path / f"{algorithm}.json")
+        paths[-1].write_text(json.dumps(cfg))
+    _assert_parallel_matches_serial(paths, tmp_path / "out")
