@@ -87,7 +87,7 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_stability(args) -> int:
-    params = {k: v for k, v in vars(args).items() if k not in ("command", "system", "func")}
+    params = {k: v for k, v in vars(args).items() if k not in ("command", "system")}
     try:
         result = stab.analyze(args.system, **params)
     except (ValueError, PlsLabError) as exc:
@@ -125,13 +125,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", default="out")
     p_run.add_argument("--limit", type=int, default=None)
     p_run.add_argument("--seed", type=int, default=None)
-    p_run.set_defaults(func=_cmd_run)
 
     p_grid = sub.add_parser("grid", help="execute several configs")
     p_grid.add_argument("--configs", nargs="+", required=True)
     p_grid.add_argument("--out", default="out")
     p_grid.add_argument("--workers", type=int, default=1)
-    p_grid.set_defaults(func=_cmd_grid)
 
     p_stab = sub.add_parser("stability", help="contraction analysis of one system")
     stab_sub = p_stab.add_subparsers(dest="system", required=True)
@@ -145,13 +143,11 @@ def build_parser() -> argparse.ArgumentParser:
             p_sys.add_argument("--rho", type=float, default=None,
                                help="defaults to sqrt(beta1)")
         p_sys.add_argument("--steps", type=int, default=100)
-    p_stab.set_defaults(func=_cmd_stability)
 
     p_gc = sub.add_parser("gradcheck", help="analytic vs finite-difference gradients")
     p_gc.add_argument("--config", required=True)
     p_gc.add_argument("--points", type=int, default=20)
     p_gc.add_argument("--seed", type=int, default=None)
-    p_gc.set_defaults(func=_cmd_gradcheck)
 
     p_ds = sub.add_parser("make-dataset", help="write synthetic digit IDX files")
     p_ds.add_argument("--out", required=True)
@@ -160,15 +156,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_ds.add_argument("--seed", type=int, default=0)
     p_ds.add_argument("--rows", type=int, default=28)
     p_ds.add_argument("--cols", type=int, default=28)
-    p_ds.set_defaults(func=_cmd_make_dataset)
 
     return parser
 
 
+_PARSER = None  # built by the first main() call, then reused
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _PARSER
+    _PARSER = _PARSER or build_parser()
+    args = _PARSER.parse_args(argv)
+    # looked up per call, so the cached parser holds no handler
+    handler = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except (ConfigError, IdxFormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -156,12 +156,11 @@ def execute(cfg: ExperimentConfig, out_dir) -> dict:
 
     final_train = final_raw = final_test = None
     if not result.diverged:
-        final_train = problem.full_value(result.x_final)
-        final_raw = (
-            problem.data_value(result.x_final, np.arange(problem.n))
-            if isinstance(problem, MlpLsrProblem)
-            else final_train
-        )
+        if isinstance(problem, MlpLsrProblem):  # one pass: value is data_value + _reg_value
+            final_raw = problem.data_value(result.x_final, np.arange(problem.n))
+            final_train = final_raw + problem._reg_value(result.x_final)
+        else:
+            final_train = final_raw = problem.full_value(result.x_final)
         if test_fn is not None:
             final_test = float(test_fn(result.x_final))
     last = result.records[-1]

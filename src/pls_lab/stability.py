@@ -236,6 +236,7 @@ class DecayReport:
 
 _TINY = 1e-300  # below this norm a simulated state is carried at unit norm
 _HUGE = 1e150  # beyond this norm a simulated trajectory has overflowed
+_LOG_HUGE = math.log(_HUGE)
 
 
 class _Envelope:
@@ -260,7 +261,7 @@ class _Envelope:
         if norm > 0.0 and (self.shift or norm < _TINY):
             self.shift += math.log(norm)
             divisor, norm = norm, 1.0
-        if not (norm <= _HUGE and self.shift <= math.log(_HUGE)):  # also nan
+        if not (norm <= _HUGE and self.shift <= _LOG_HUGE):  # also nan
             return None
         ratio = self._ratio(norm)
         if ratio > self.max_ratio:
@@ -297,28 +298,28 @@ def simulate_factors(factors, z0: float, rho: float) -> DecayReport:
 
 
 def simulate_system(
-    matrices, zeta0: np.ndarray, rho: float, p: Matrix2 | None = None
+    m: Matrix2, steps: int, zeta0: np.ndarray, rho: float, p: Matrix2 | None = None
 ) -> DecayReport:
-    """Iterate z <- M_t z over the matrix sequence and measure the envelope.
+    """Iterate z <- M z for ``steps`` steps and measure the envelope.
 
     When a certificate P is supplied the observed envelope is compared
     against sqrt(cond(P)), the bound the certificate promises.
     """
     z = np.asarray(zeta0, dtype=np.float64).copy()
-    scale = float(np.linalg.norm(z))
+    scale = math.sqrt(z.dot(z))  # what np.linalg.norm computes for a real vector
     bound = math.sqrt(cond2(p)) if p is not None else None
     if scale == 0.0:
         return DecayReport(0.0, bound, True if bound is not None else None, False)
     env = _Envelope(rho, scale)
-    for m in matrices:
-        with np.errstate(over="ignore", invalid="ignore"):
-            z = m.as_array() @ z
-            norm = float(np.linalg.norm(z))
-        divisor = env.observe(norm)
-        if divisor is None:
-            return DecayReport(math.inf, bound, False if bound is not None else None, True)
-        if divisor != 1.0:
-            z /= divisor
+    a = m.as_array()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(steps):
+            z = a @ z
+            divisor = env.observe(math.sqrt(z.dot(z)))
+            if divisor is None:
+                return DecayReport(math.inf, bound, False if bound is not None else None, True)
+            if divisor != 1.0:
+                z /= divisor
     max_ratio = env.max_ratio
     within = (max_ratio <= bound * (1.0 + 1e-9)) if bound is not None else None
     return DecayReport(max_ratio, bound, within, False)
@@ -331,8 +332,10 @@ _ZETA0 = np.array([1.0, 1.0]) / math.sqrt(2.0)  # unit start of the 2x2 simulati
 
 def _certified(m: Matrix2, rho: float, steps: int) -> tuple[StabilityVerdict, DecayReport]:
     """Lyapunov verdict of a 2x2 system and its simulated envelope."""
+    if not math.isfinite(rho):
+        raise ValueError("rho must be finite")
     verdict = lyapunov_verdict(m, rho)
-    return verdict, simulate_system([m] * steps, _ZETA0, rho, verdict.lyapunov_p)
+    return verdict, simulate_system(m, steps, _ZETA0, rho, verdict.lyapunov_p)
 
 
 def analyze(
@@ -410,6 +413,8 @@ def analyze(
         }
     else:
         raise ValueError(f"unknown system {system!r}: expected t1, t2 or t3")
+    if steps < 0:  # checked last, so every other fault keeps its message
+        raise ValueError("steps must be non-negative")
     report["stable"] = stable
     report["envelope"] = {
         "steps": steps,

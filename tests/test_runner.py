@@ -14,7 +14,7 @@ from pls_lab import errors
 from pls_lab.cli import main
 from pls_lab.config import ExperimentConfig
 from pls_lab.errors import ConfigError, IdxFormatError
-from pls_lab.problems import QuadraticProblem
+from pls_lab.problems import MlpLsrProblem, QuadraticProblem
 from pls_lab.runner import build_problem, execute, execute_config, gradcheck_report, run_grid
 
 from conftest import mlp_classification_config
@@ -142,6 +142,26 @@ class TestExecute:
         test_col = [r[2] for r in rows]
         present = [i for i, v in enumerate(test_col) if v != ""]
         assert present == [0, 5, 10]
+
+    def test_one_training_pass_after_the_loop(self, small_digits_dir, tmp_path, monkeypatch):
+        full_passes = []
+        forward = MlpLsrProblem._forward
+
+        def counting(problem, x, idx):
+            if len(idx) == problem.n == 120:  # the training split, not a batch or the test split
+                full_passes.append(1)
+            return forward(problem, x, idx)
+
+        monkeypatch.setattr(MlpLsrProblem, "_forward", counting)
+        cfg_dict = mlp_classification_config(
+            small_digits_dir, layers=[64, 16, 10], steps=4, seed=3,
+            rate={"kind": "fixed", "eta": 0.01}, limit=120, batch_size=20,
+            extra={"test_every": 2},
+        )
+        summary = execute_config(cfg_dict, tmp_path)
+        # the initial record's loss, then the final loss with its raw part
+        assert len(full_passes) == 2
+        assert summary["final_train_loss_raw"] < summary["final_train_loss"]
 
     def test_limit_subsets_training_split(self, small_digits_dir):
         cfg = ExperimentConfig.from_dict(
@@ -379,6 +399,66 @@ class TestCli:
         assert main(["stability", "t2", "--beta1", "-0.5", "--sqrtvhat", "1",
                      "--L", "1", "--eta", "0.5"]) == 2
         assert capsys.readouterr().err == "error: beta1 must lie strictly in (0, 1)\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["t2", "--beta1", "0.9", "--sqrtvhat", "0.1", "--L", "1", "--eta", "0.05",
+          "--rho", "nan"], "rho must be finite"),
+        (["t3", "--kappa", "1000", "--xi", "10", "--L", "1", "--eta", "0.5",
+          "--rho", "nan"], "rho must be finite"),
+        (["t2", "--beta1", "0.9", "--sqrtvhat", "0.1", "--L", "1", "--eta", "0.05",
+          "--rho", "inf"], "rho must be finite"),
+        (["t3", "--kappa", "1000", "--xi", "10", "--L", "1", "--eta", "0.5",
+          "--rho", "inf"], "rho must be finite"),
+        (["t1", "--L", "1", "--rho", "0.5", "--eta", "0.1", "--steps", "-3"],
+         "steps must be non-negative"),
+    ])
+    def test_stability_rejects_non_finite_rho_and_negative_steps(self, argv, message,
+                                                                 capsys):
+        assert main(["stability", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_parser_is_built_once_per_process(self, monkeypatch, capsys):
+        built = []
+        build = cli_mod.build_parser
+
+        def counting_build():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli_mod, "_PARSER", None)
+        monkeypatch.setattr(cli_mod, "build_parser", counting_build)
+        argv = ["stability", "t1", *sum(STABILITY_ARGS["t1"].items(), ())]
+        assert main(argv) == 0
+        assert main(argv) == 0
+        assert built == [1]
+
+    def test_handler_patched_after_the_parser_exists_is_called(self, monkeypatch, capsys):
+        argv = ["stability", "t1", *sum(STABILITY_ARGS["t1"].items(), ())]
+        assert main(argv) == 0
+        assert cli_mod._PARSER is not None
+        seen = []
+
+        def patched(args):
+            seen.append(args.L)
+            return 7
+
+        monkeypatch.setattr(cli_mod, "_cmd_stability", patched)
+        assert main(argv) == 7
+        assert seen == [2.0]
+
+    def test_cached_parser_prints_alike_after_usage_errors(self, monkeypatch, capsys):
+        argv = ["stability", "t3", *sum(STABILITY_ARGS["t3"].items(), ())]
+        monkeypatch.setattr(cli_mod, "_PARSER", None)
+        assert main(argv) == 0
+        fresh = capsys.readouterr()
+        for bad in (["stability", "t1", "--L", "1", "--rho", "0.5"], ["stability", "--help"]):
+            with pytest.raises(SystemExit):
+                main(bad)
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr() == fresh
 
     def test_gradcheck_subcommand(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

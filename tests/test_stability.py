@@ -7,10 +7,12 @@ import pytest
 
 from pls_lab.cli import main
 from pls_lab.errors import ConsistencyError
-from pls_lab.linalg import Matrix2, eig2x2, spectral_radius2
+from pls_lab.linalg import Matrix2, cond2, eig2x2, spectral_radius2
 from pls_lab.rng import SeededRng
 from pls_lab.stability import (
     AGREEMENT_TOL,
+    DecayReport,
+    _Envelope,
     accsgd_nominal_eigenvalues,
     accsgd_rate_window,
     accsgd_stability,
@@ -211,12 +213,12 @@ class TestAccsgdSystem:
 class TestSimulation:
     def test_constant_half_rate_within_envelope(self):
         m = Matrix2(0.25, 0.0, 0.0, 0.25)
-        report = simulate_system([m] * 50, np.array([1.0, 1.0]), 0.5)
+        report = simulate_system(m, 50, np.array([1.0, 1.0]), 0.5)
         assert report.max_ratio <= 1.0 + 1e-12
         assert not report.overflowed
 
     def test_zero_start_stays_zero(self):
-        report = simulate_system([Matrix2(1.0, 0.0, 0.0, 1.0)] * 10, np.zeros(2), 0.9)
+        report = simulate_system(Matrix2(1.0, 0.0, 0.0, 1.0), 10, np.zeros(2), 0.9)
         assert report.max_ratio == 0.0
 
     def test_envelope_past_underflowing_rho_power(self):
@@ -229,7 +231,7 @@ class TestSimulation:
         late = simulate_factors([0.0125] * 165, 1.0, 0.01)
         npt.assert_allclose(late.max_ratio, 1.25**165, rtol=1e-6)
         m = Matrix2(0.9e-5, 0.0, 0.0, 0.9e-5)
-        assert simulate_system([m] * 100, np.array([1.0, 1.0]), 1e-5).max_ratio == 1.0
+        assert simulate_system(m, 100, np.array([1.0, 1.0]), 1e-5).max_ratio == 1.0
 
     def test_overflow_reported_unstable(self):
         report = simulate_factors([3.0] * 400, 1.0, 0.9)
@@ -238,7 +240,7 @@ class TestSimulation:
     def test_certificate_bound_honored(self):
         m = Matrix2(0.4, 0.2, -0.1, 0.3)
         verdict = lyapunov_verdict(m, 0.8)
-        report = simulate_system([m] * 100, np.array([1.0, -1.0]), 0.8,
+        report = simulate_system(m, 100, np.array([1.0, -1.0]), 0.8,
                                  verdict.lyapunov_p)
         assert report.bound == pytest.approx(math.sqrt(verdict.cond_p))
         assert report.within_bound
@@ -258,6 +260,56 @@ def _draw(system, rng):
     kappa = 10.0 ** rng.uniform(1.0, 3.7)
     return {"kappa": kappa, "xi": rng.uniform(0.05, 1.0) * math.sqrt(kappa), "L": L,
             "eta": rng.uniform(-0.5, 1.5) / L, "rho": rng.uniform(0.5, 0.999)}
+
+
+def _per_step_simulation(m, steps, zeta0, rho, p=None):
+    """The loop simulate_system replaced: a fresh array, errstate and
+    np.linalg.norm on every step."""
+    z = np.asarray(zeta0, dtype=np.float64).copy()
+    scale = float(np.linalg.norm(z))
+    bound = math.sqrt(cond2(p)) if p is not None else None
+    if scale == 0.0:
+        return DecayReport(0.0, bound, True if bound is not None else None, False)
+    env = _Envelope(rho, scale)
+    for m_t in [m] * steps:
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = m_t.as_array() @ z
+            norm = float(np.linalg.norm(z))
+        divisor = env.observe(norm)
+        if divisor is None:
+            return DecayReport(math.inf, bound, False if bound is not None else None, True)
+        if divisor != 1.0:
+            z /= divisor
+    max_ratio = env.max_ratio
+    within = (max_ratio <= bound * (1.0 + 1e-9)) if bound is not None else None
+    return DecayReport(max_ratio, bound, within, False)
+
+
+def _seeded_systems():
+    rng = SeededRng(31)
+    for _ in range(200):
+        d = _draw("t2", rng)
+        yield amsgrad_system(d["beta1"], d["eta"], d["L"], d["sqrtvhat"]), d["rho"]
+        d = _draw("t3", rng)
+        yield accsgd_system(d["kappa"], d["xi"], d["eta"], d["L"]), d["rho"]
+    yield amsgrad_system(0.9, 1.0, 1.0, 1.0), 1e-5  # rho^t underflows, the ratio overflows
+    yield Matrix2(2e-5, 0.0, 0.0, 1.5e-5), 1e-5  # the squared norm underflows
+    yield amsgrad_system(0.9, 1e308, 1.0, 1.0), 0.9  # non-finite state at step 2
+    yield Matrix2(40.0, 1.0, 0.0, 2.0), 0.9  # the norm passes 1e150
+
+
+class TestSimulationMatchesPerStepLoop:
+    def test_bit_for_bit(self):
+        zeta0 = np.array([1.0, 1.0]) / math.sqrt(2.0)
+        compared = certified = 0
+        for m, rho in _seeded_systems():
+            p = lyapunov_verdict(m, rho).lyapunov_p
+            for steps in (0, 1, 100):
+                got = simulate_system(m, steps, zeta0, rho, p)
+                assert repr(got) == repr(_per_step_simulation(m, steps, zeta0, rho, p))
+                compared += 1
+            certified += p is not None
+        assert compared == 3 * 404 and 0 < certified < 404
 
 
 class TestAnalyze:
@@ -287,6 +339,28 @@ class TestAnalyze:
                 assert report["envelope"]["within_bound"]
             contracting += certified
         assert 50 < contracting < 450  # both sides of contraction were drawn
+
+    @pytest.mark.parametrize("system, params", [
+        ("t1", {"L": 1.0, "rho": 0.5, "eta": 0.1}),
+        ("t2", {"beta1": 0.9, "sqrtvhat": 0.1, "L": 1.0, "eta": 0.05}),
+        ("t3", {"kappa": 1000.0, "xi": 10.0, "L": 1.0, "eta": 0.5, "rho": 0.9}),
+    ])
+    def test_negative_steps_rejected(self, system, params):
+        with pytest.raises(ValueError, match="^steps must be non-negative$"):
+            analyze(system, steps=-3, **params)
+        assert analyze(system, steps=0, **params)["envelope"]["max_ratio"] == 1.0
+
+    @pytest.mark.parametrize("system, params, message", [
+        ("t1", {"L": -1.0, "rho": math.nan, "eta": 0.1}, "L must be positive"),
+        ("t2", {"beta1": 1.5, "sqrtvhat": 0.1, "L": 1.0, "eta": 0.05, "rho": math.inf},
+         "beta1 must lie strictly in (0, 1)"),
+        ("t3", {"kappa": 1000.0, "xi": 10.0, "L": -1.0, "eta": 0.5, "rho": math.nan},
+         "L must be positive"),
+    ])
+    def test_earlier_faults_keep_their_message(self, system, params, message):
+        with pytest.raises(ValueError) as info:
+            analyze(system, steps=-3, **params)
+        assert str(info.value) == message
 
     def test_unknown_system_rejected(self):
         with pytest.raises(ValueError, match="unknown system"):
