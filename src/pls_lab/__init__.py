@@ -16,7 +16,7 @@ from .errors import (
     PlsLabError,
     SingularSystemError,
 )
-from .linalg import Matrix2, cond2, eig2x2, l2_norm, solve_discrete_lyapunov2, spectral_radius2
+from .linalg import Matrix2, cond2, eig2x2, solve_discrete_lyapunov2, spectral_radius2
 from .optimizers import (
     AccsgdState,
     AmsgradState,
@@ -32,7 +32,6 @@ from .optimizers import (
 from .problems import (
     MlpLsrProblem,
     QuadraticProblem,
-    exact_smoothness,
     finite_diff_grad,
     glorot_init,
 )
@@ -41,7 +40,6 @@ from .smoothness import (
     SmoothnessEstimator,
     SmoothnessReading,
     adaptive_rate,
-    base_rate_admissible,
 )
 
 __version__ = "0.1.0"

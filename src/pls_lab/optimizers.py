@@ -6,16 +6,20 @@ the same updates driven by a different step-size source. Each iteration
 follows the same line order: sample batch, gradient, smoothness
 prediction, step size, moment updates, parameter update. Every update
 takes one scalar step size and advances one rate group's slice of the
-iterate in place.
+iterate in place. The adaptive-moment and accelerated updates run block
+by block (``linalg.blocks``) through one workspace per update state, with
+the operations and their order of the textbook expressions in their
+docstrings, so they allocate nothing per step and give the same bits.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import BLOCK, blocks
 from .rng import SeededRng
 from .smoothness import SmoothnessEstimator
 
@@ -42,6 +46,13 @@ def sgd_step(x: np.ndarray, g: np.ndarray, eta: float) -> None:
 class AmsgradState:
     """First/second moment averages plus the running max of the second.
 
+    One step is
+
+        m <- b1t * m + (1-b1t) * g
+        v <- beta2 * v + (1-beta2) * (g * g)
+        vhat <- max(v, vhat)
+        x <- x - eta * (m / max(sqrt(vhat), VHAT_FLOOR))
+
     The running max never decreases, so the effective per-coordinate step
     scale never grows. beta1 may decay as beta1/t (schedule "over_t"); the
     constant schedule is the practical default.
@@ -60,18 +71,27 @@ class AmsgradState:
         self.beta2 = beta2
         self.beta1_schedule = beta1_schedule
         self.t = 0
+        self._blocks = blocks(dim, np.empty(min(dim, BLOCK)))
 
     def step(self, x: np.ndarray, g: np.ndarray, eta: float) -> None:
         self.t += 1
         b1t = self.beta1 / self.t if self.beta1_schedule == "over_t" else self.beta1
-        self.m *= b1t
-        self.m += (1.0 - b1t) * g
-        self.v *= self.beta2
-        self.v += (1.0 - self.beta2) * (g * g)
-        np.maximum(self.v, self.vhat, out=self.vhat)
-        denom = np.sqrt(self.vhat)
-        np.maximum(denom, VHAT_FLOOR, out=denom)
-        x -= eta * (self.m / denom)
+        beta2, c1, c2 = self.beta2, 1.0 - b1t, 1.0 - self.beta2
+        for s, w in self._blocks:  # scalar products commuted: same bits
+            m, v, vhat, xs, gs = self.m[s], self.v[s], self.vhat[s], x[s], g[s]
+            m *= b1t
+            np.multiply(gs, c1, out=w)
+            m += w
+            v *= beta2
+            np.multiply(gs, gs, out=w)
+            w *= c2
+            v += w
+            np.maximum(v, vhat, out=vhat)
+            np.sqrt(vhat, out=w)
+            np.maximum(w, VHAT_FLOOR, out=w)
+            np.divide(m, w, out=w)
+            w *= eta
+            xs -= w
 
 
 def accsgd_coefficients(kappa: float, xi: float) -> tuple[float, float, float]:
@@ -106,6 +126,7 @@ class AccsgdState:
         self.alpha = alpha
         self.a = a
         self.b = b
+        self._blocks = blocks(self.m.size, np.empty(min(self.m.size, BLOCK)))
 
     @classmethod
     def from_params(cls, kappa: float, xi: float, x0: np.ndarray,
@@ -120,11 +141,20 @@ class AccsgdState:
         return cls(m, alpha, a, b)
 
     def step(self, x: np.ndarray, g: np.ndarray, eta: float) -> None:
-        self.m *= self.alpha
-        self.m += (1.0 - self.alpha) * (x - (self.a * eta) * g)
-        x -= eta * g
-        x *= 1.0 - self.b
-        x += self.b * self.m
+        alpha, b, a_eta = self.alpha, self.b, self.a * eta
+        c_alpha, c_b = 1.0 - alpha, 1.0 - b
+        for s, w in self._blocks:  # scalar products commuted: same bits
+            m, xs, gs = self.m[s], x[s], g[s]
+            m *= alpha
+            np.multiply(gs, a_eta, out=w)
+            np.subtract(xs, w, out=w)
+            w *= c_alpha
+            m += w
+            np.multiply(gs, eta, out=w)
+            xs -= w
+            xs *= c_b
+            np.multiply(m, b, out=w)
+            xs += w
 
 
 class FixedRate:
@@ -215,7 +245,6 @@ class RunResult:
     x_final: np.ndarray
     diverged_at: int | None
     wall_ms: float
-    trajectory: list[np.ndarray] | None = field(default=None)
 
     @property
     def diverged(self) -> bool:
@@ -239,7 +268,6 @@ def run_optimizer(
     accsgd_m0: str = "x0",
     test_fn=None,
     test_every: int = 50,
-    keep_trajectory: bool = False,
 ) -> RunResult:
     """Run one optimizer for ``steps`` iterations and log every iteration.
 
@@ -278,7 +306,6 @@ def run_optimizer(
         return float(test_fn(x_now))
 
     records = [TrainRecord(0, obj.full_value(x), maybe_test(x, 0), None, None, False)]
-    trajectory = [x.copy()] if keep_trajectory else None
     diverged_at = None
 
     for t in range(1, steps + 1):
@@ -301,9 +328,7 @@ def run_optimizer(
             diverged_at = t
             break
 
-        if keep_trajectory:
-            trajectory.append(x.copy())
         records.append(TrainRecord(t, float(loss), maybe_test(x, t), etas, l_hats, False))
 
     wall_ms = (time.perf_counter() - t_start) * 1e3
-    return RunResult(records, x, diverged_at, wall_ms, trajectory)
+    return RunResult(records, x, diverged_at, wall_ms)

@@ -17,6 +17,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
+from .linalg import BLOCK, blocks
 from .rng import SeededRng
 
 
@@ -101,14 +102,6 @@ class QuadraticProblem:
     def full_value(self, x) -> float:
         return self.value(x, np.arange(self.n))
 
-    def full_grad(self, x) -> np.ndarray:
-        return self.diag * (x - self.centers.mean(axis=0))
-
-
-def exact_smoothness(problem: QuadraticProblem) -> float:
-    """Lipschitz constant of the quadratic's full gradient: max curvature."""
-    return float(problem.diag.max())
-
 
 def layer_layout(layer_sizes: Sequence[int]) -> tuple[list[tuple[int, int, int, int]], int]:
     """Flat-vector offsets for (weights, biases) of each layer.
@@ -162,6 +155,10 @@ class MlpLsrProblem:
         self._spans, self.d = layer_layout(layer_sizes)
         # one parameter group per layer: its weights plus its biases
         self.layer_partition = [(w0, b1) for (w0, _, _, b1) in self._spans]
+        # the weight decay term l2 * W is added blockwise through one workspace
+        sizes = [w1 - w0 for (w0, w1, _, _) in self._spans]
+        work = np.empty(min(max(sizes), BLOCK))
+        self._weight_blocks = [blocks(n, work) for n in sizes]
 
     def unpack(self, x: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """Views of the flat vector as per-layer (W, b); no copies."""
@@ -211,8 +208,13 @@ class MlpLsrProblem:
             w, _ = layers[l]
             gw, gb = g_layers[l]
             np.matmul(activations[l].T, delta, out=gw)
-            if self.l2 != 0.0:
-                gw += self.l2 * w
+            if self.l2 != 0.0:  # gw += l2 * w, with the product commuted: same bits
+                w0, w1 = self._spans[l][:2]
+                w_flat, gw_flat = x[w0:w1], g[w0:w1]
+                for s, t in self._weight_blocks[l]:
+                    np.multiply(w_flat[s], self.l2, out=t)
+                    gws = gw_flat[s]
+                    gws += t
             np.sum(delta, axis=0, out=gb)
             if l > 0:
                 # hidden activation a = max(z, 0); mask by a > 0 (zero at kink)

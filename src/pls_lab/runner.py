@@ -155,15 +155,17 @@ def execute(cfg: ExperimentConfig, out_dir) -> dict:
     write_records_csv(out_dir / "records.csv", result.records, n_groups)
 
     final_train = final_raw = final_test = None
+    last = result.records[-1]
     if not result.diverged:
         if isinstance(problem, MlpLsrProblem):  # one pass: value is data_value + _reg_value
             final_raw = problem.data_value(result.x_final, np.arange(problem.n))
             final_train = final_raw + problem._reg_value(result.x_final)
         else:
             final_train = final_raw = problem.full_value(result.x_final)
-        if test_fn is not None:
+        if last.test_loss is not None:  # the loop already tested x_final
+            final_test = last.test_loss
+        elif test_fn is not None:
             final_test = float(test_fn(result.x_final))
-    last = result.records[-1]
     summary = {
         "config": cfg.to_dict(),
         "diverged": result.diverged,

@@ -18,9 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError
-from .linalg import l2_norm
 
 DECAY_MODES = ("constant", "sqrt_t")
+
+_BAD_GRADIENT = "non-finite gradient in smoothness update"
 
 
 def adaptive_rate(
@@ -43,17 +44,6 @@ def adaptive_rate(
     return eta
 
 
-def base_rate_admissible(eta0: float, rho: float) -> bool:
-    """Whether a base rate sits in the window [1 - rho, 1] (inclusive).
-
-    For step sizes of the form eta0 / L, base rates in this window keep
-    the averaged descent update contracting at rate rho.
-    """
-    if not 0.0 < rho < 1.0:
-        raise ValueError("rho must lie in (0, 1)")
-    return 1.0 - rho <= eta0 <= 1.0
-
-
 @dataclass
 class SmoothnessReading:
     """One prediction: smoothness estimate and the step size derived from it."""
@@ -69,6 +59,10 @@ class SmoothnessEstimator:
     and returns a bootstrap reading with l_hat = 0 and eta = eta0 (not
     eta0/eps2, which could be orders of magnitude larger before any
     smoothness information exists).
+
+    Later calls difference in place in the history buffers, so a reading
+    allocates nothing the size of the group; a DivergenceError leaves the
+    history spent.
     """
 
     def __init__(
@@ -94,19 +88,31 @@ class SmoothnessEstimator:
         """Predict smoothness at (x, g); stores them for the next call."""
         if x.shape != g.shape:
             raise ValueError("iterate and gradient must have the same shape")
-        if self.prev_x is not None and x.shape != self.prev_x.shape:
-            raise ValueError("dimension changed between updates")
-        if not np.all(np.isfinite(g)):
-            raise DivergenceError("non-finite gradient in smoothness update")
-        self.t += 1
         if self.prev_x is None:
-            self.prev_x = x.copy()
-            self.prev_g = g.copy()
+            if not np.all(np.isfinite(g)):
+                raise DivergenceError(_BAD_GRADIENT)
+            self.t += 1
+            self.prev_x = np.array(x, dtype=np.float64)
+            self.prev_g = np.array(g, dtype=np.float64)
             return SmoothnessReading(0.0, self.eta0)
-        g_diff = l2_norm(g - self.prev_g)
-        x_diff = l2_norm(x - self.prev_x)
+        if x.shape != self.prev_x.shape:
+            raise ValueError("dimension changed between updates")
+        # prev - new is the negated difference: the same squares, so the
+        # same norms as ||new - prev||, sqrt(dot) as np.linalg.norm takes it
+        dg = np.subtract(self.prev_g, g, out=self.prev_g)
+        dx = np.subtract(self.prev_x, x, out=self.prev_x)
+        g_diff = math.sqrt(np.dot(dg, dg))
+        x_diff = math.sqrt(np.dot(dx, dx))
+        if not math.isfinite(g_diff + x_diff):
+            # a finite sum of squares has finite entries; only an infinite
+            # or nan sum needs the entries scanned
+            if not np.all(np.isfinite(g)):
+                raise DivergenceError(_BAD_GRADIENT)
+            if not (np.all(np.isfinite(dg)) and np.all(np.isfinite(dx))):
+                raise DivergenceError("non-finite entry in vector")
+        self.t += 1
         l_hat = g_diff / (x_diff + self.eps1)
-        self.prev_x = x.copy()
-        self.prev_g = g.copy()
+        np.copyto(self.prev_x, x)
+        np.copyto(self.prev_g, g)
         eta = adaptive_rate(l_hat, self.eta0, self.eps2, self.decay, self.t)
         return SmoothnessReading(l_hat, eta)

@@ -13,6 +13,7 @@ together into the report that ``pls-lab stability`` prints.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -237,6 +238,15 @@ class DecayReport:
 _TINY = 1e-300  # below this norm a simulated state is carried at unit norm
 _HUGE = 1e150  # beyond this norm a simulated trajectory has overflowed
 _LOG_HUGE = math.log(_HUGE)
+_MIN_NORMAL = sys.float_info.min
+
+
+def _norm2(z: np.ndarray) -> float:
+    """||z|| of a 2-vector: sqrt(z.z), what np.linalg.norm computes, unless
+    the square is below the normal range (a norm below about 1.5e-154);
+    then math.hypot, which does not square, so a tiny state keeps its norm."""
+    sq = z.dot(z)
+    return math.hypot(z[0], z[1]) if sq < _MIN_NORMAL else math.sqrt(sq)
 
 
 class _Envelope:
@@ -306,7 +316,7 @@ def simulate_system(
     against sqrt(cond(P)), the bound the certificate promises.
     """
     z = np.asarray(zeta0, dtype=np.float64).copy()
-    scale = math.sqrt(z.dot(z))  # what np.linalg.norm computes for a real vector
+    scale = _norm2(z)
     bound = math.sqrt(cond2(p)) if p is not None else None
     if scale == 0.0:
         return DecayReport(0.0, bound, True if bound is not None else None, False)
@@ -315,7 +325,7 @@ def simulate_system(
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(steps):
             z = a @ z
-            divisor = env.observe(math.sqrt(z.dot(z)))
+            divisor = env.observe(_norm2(z))
             if divisor is None:
                 return DecayReport(math.inf, bound, False if bound is not None else None, True)
             if divisor != 1.0:

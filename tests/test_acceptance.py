@@ -29,6 +29,7 @@ from pls_lab.stability import (
 )
 from pls_lab.config import ExperimentConfig
 
+from _oracles import run_with_iterates
 from conftest import mlp_classification_config
 
 pytestmark = pytest.mark.acceptance
@@ -100,9 +101,9 @@ def test_c01_descent_rate_window_reproduced():
     prob = QuadraticProblem.random(3, 10, curvature, 1.0, SeededRng(2))
     x0 = prob.x_star + np.array([1.0, -0.5, 0.25])
     rho, eta = 0.5, 0.4  # inside (0.25, 0.5)
-    res = run_optimizer(prob, "sgd", FixedRate(eta), steps=steps, seed=1, x0=x0,
-                        batch_size=prob.n, keep_trajectory=True)
-    dist = np.linalg.norm(np.array(res.trajectory) - prob.x_star, axis=1)
+    _, xs = run_with_iterates(prob, "sgd", FixedRate(eta), steps=steps, seed=1, x0=x0,
+                              batch_size=prob.n)
+    dist = np.linalg.norm(xs - prob.x_star, axis=1)
     bounds = dist[0] * rho ** np.arange(steps + 1)
     assert np.all(dist <= bounds * (1.0 + 1e-12))
 
@@ -221,14 +222,14 @@ def test_c05_smoothness_exact_on_quadratics():
         prob = QuadraticProblem.random(4, 10, curvature, 1.0, SeededRng(3))
         x0 = prob.x_star + np.full(4, 0.8)
         src = PlsRate(prob.layer_partition, 0.5, 1e-8, 1e-8)
-        res = run_optimizer(prob, "sgd", src, steps=20, seed=1, x0=x0,
-                            batch_size=prob.n, keep_trajectory=True)
+        res, xs = run_with_iterates(prob, "sgd", src, steps=20, seed=1, x0=x0,
+                                    batch_size=prob.n)
         assert not res.diverged
         # right after the bootstrap the displacement is macroscopic, so the
         # eps1 bias is negligible; much later r -> 0 and the bias dominates
         for rec in res.records[2:6]:
             assert abs(rec.l_hats[0] - curvature) / curvature < 1e-6
-        dist = np.linalg.norm(np.array(res.trajectory) - prob.x_star, axis=1)
+        dist = np.linalg.norm(xs - prob.x_star, axis=1)
         factors = dist[3:16] / dist[2:15]
         assert np.all(np.abs(factors - 0.5) <= 0.02), f"curvature {curvature}: {factors}"
 

@@ -1,7 +1,9 @@
-"""Every public top-level function and class of the library is used by it.
+"""Every public function, class and method of the library is used by it.
 
 A name that occurs only at its own definition is code that nothing in the
-package calls; a name re-exported by ``__init__`` counts as used.
+package calls. A re-export in ``__init__`` is not a use: it only makes a
+name importable. Names are counted as tokens, so a method counts as used
+when any code outside ``__init__`` says its name.
 """
 
 import ast
@@ -10,17 +12,27 @@ from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "pls_lab"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+_DEFS = (ast.FunctionDef, ast.ClassDef)
 
 
 def _public_definitions(path: Path):
+    """Module-level functions and classes, and the methods of those
+    classes, whose names do not start with an underscore."""
     for node in ast.parse(path.read_text()).body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-            yield node.name
+        if not isinstance(node, _DEFS) or node.name.startswith("_"):
+            continue
+        yield node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}"
 
 
 def _name_counts() -> Counter:
     counts = Counter()
-    for path in SRC.glob("*.py"):
+    for path in MODULES:
         with tokenize.open(path) as fh:
             counts.update(tok.string for tok in tokenize.generate_tokens(fh.readline)
                           if tok.type == tokenize.NAME)
@@ -29,6 +41,7 @@ def _name_counts() -> Counter:
 
 def test_every_public_definition_is_used_in_the_package():
     counts = _name_counts()
-    unused = sorted(f"{path.stem}.{name}" for path in SRC.glob("*.py")
-                    for name in _public_definitions(path) if counts[name] < 2)
+    unused = sorted(f"{path.stem}.{name}" for path in MODULES
+                    for name in _public_definitions(path)
+                    if counts[name.rpartition(".")[2]] < 2)
     assert unused == []

@@ -9,14 +9,17 @@ from pls_lab.linalg import (
     Matrix2,
     cond2,
     eig2x2,
-    l2_norm,
     solve_discrete_lyapunov2,
     spectral_radius2,
 )
 from pls_lab.rng import SeededRng
 
+from _oracles import l2_norm
+
 
 class TestL2Norm:
+    """The norm oracle of the estimator's bit-for-bit tests."""
+
     def test_pythagorean(self):
         assert l2_norm(np.array([3.0, 4.0])) == 5.0
 

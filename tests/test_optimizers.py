@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from pls_lab.linalg import BLOCK
 from pls_lab.optimizers import (
     AccsgdState,
     AmsgradState,
@@ -18,6 +20,8 @@ from pls_lab.optimizers import (
 from pls_lab.problems import QuadraticProblem
 from pls_lab.rng import SeededRng
 from pls_lab.smoothness import SmoothnessReading, adaptive_rate
+
+from _oracles import accsgd_step, amsgrad_step
 
 
 def isotropic_quadratic(curvature=1.0, dim=3, n=10, seed=2):
@@ -139,6 +143,78 @@ class TestAccsgd:
         npt.assert_allclose(got, (1 - b) * (x - eta * g) + b * m_expect, rtol=1e-15)
 
 
+# sizes on both sides of each block edge, and the 784x500 layer's group
+BLOCK_SIZES = (1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17, 392_500)
+
+
+def _gradients(n, steps, seed):
+    """Gradients with exact zeros (the vhat floor), squares that overflow
+    and a spread of scales, as views into a larger buffer."""
+    rng = np.random.default_rng(seed)
+    for _ in range(steps):
+        buf = rng.standard_normal(n + 3) * 10.0 ** rng.integers(-8, 3, n + 3)
+        buf[rng.integers(0, n + 3, max(1, n // 50))] = 0.0
+        buf[rng.integers(0, n + 3, max(1, n // 500))] = 1e200
+        yield buf[2:n + 2]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestBlockedUpdatesMatchWholeArrays:
+    """The blocked updates give the bits of the whole-array expressions."""
+
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    @pytest.mark.parametrize("schedule", ["constant", "over_t"])
+    def test_amsgrad(self, n, schedule):
+        st = AmsgradState(n, beta1=0.9, beta2=0.999, beta1_schedule=schedule)
+        m, v, vhat = np.zeros(n), np.zeros(n), np.zeros(n)
+        x = np.random.default_rng(n).standard_normal(n + 1)[1:]
+        ref = x.copy()
+        for t, g in enumerate(_gradients(n, 4, seed=n + 1), start=1):
+            eta = 0.01 / t
+            st.step(x, g, eta)
+            amsgrad_step(m, v, vhat, ref, g, eta, 0.9 / t if schedule == "over_t" else 0.9, 0.999)
+            assert x.tobytes() == ref.tobytes()
+            assert st.m.tobytes() == m.tobytes()
+            assert st.v.tobytes() == v.tobytes()
+            assert st.vhat.tobytes() == vhat.tobytes()
+
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    @pytest.mark.parametrize("m0", ["x0", "zero"])
+    def test_accsgd(self, n, m0):
+        x = np.random.default_rng(n).standard_normal(n + 1)[1:]
+        st = AccsgdState.from_params(1000.0, 10.0, x, m0=m0)
+        m, ref = st.m.copy(), x.copy()
+        for t, g in enumerate(_gradients(n, 4, seed=n + 2), start=1):
+            eta = 0.003 * t
+            st.step(x, g, eta)
+            accsgd_step(m, ref, g, eta, st.alpha, st.a, st.b)
+            assert x.tobytes() == ref.tobytes()
+            assert st.m.tobytes() == m.tobytes()
+
+
+def test_steady_state_step_allocates_less_than_one_group():
+    # after the first step a rate reading and an update reuse their buffers
+    n = 392_500
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(n)
+    src = PlsRate([(0, n)], 0.001, 0.01, 0.01)
+    updates = [AmsgradState(n).step, AccsgdState.from_params(1000.0, 10.0, x).step]
+    for update in updates:
+        g = rng.standard_normal(n)
+        (eta, _), = src.rates(1, x, g)
+        update(x, g, eta)
+    g = rng.standard_normal(n)
+    tracemalloc.start()
+    try:
+        for t, update in enumerate(updates, start=2):
+            (eta, _), = src.rates(t, x, g)
+            update(x, g, eta)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes
+
+
 class TestRateSources:
     def test_fixed_positive_only(self):
         with pytest.raises(ValueError):
@@ -252,13 +328,14 @@ class TestRunOptimizer:
 
     def test_adaptive_contraction_on_isotropic_quadratic(self):
         prob = isotropic_quadratic(curvature=1.0, dim=2, n=8)
-        src = PlsRate(prob.layer_partition, 0.5, 1e-8, 1e-8)
-        res = run_optimizer(prob, "sgd", src, steps=25, seed=1,
-                            x0=np.array([1.5, -0.7]), batch_size=prob.n,
-                            keep_trajectory=True)
-        xs = np.array(res.trajectory)
+        # full batch: a run of n steps ends at iterate n of any longer run
+        xs = np.array([
+            run_optimizer(prob, "sgd", PlsRate(prob.layer_partition, 0.5, 1e-8, 1e-8), steps=n,
+                          seed=1, x0=np.array([1.5, -0.7]), batch_size=prob.n).x_final
+            for n in range(2, 8)
+        ])
         dist = np.linalg.norm(xs - prob.x_star, axis=1)
-        factors = dist[3:8] / dist[2:7]
+        factors = dist[1:] / dist[:-1]
         npt.assert_allclose(factors, 0.5, rtol=1e-5)
 
     def test_divergence_detected_and_flagged(self):

@@ -5,12 +5,13 @@ import pytest
 from pls_lab.problems import (
     MlpLsrProblem,
     QuadraticProblem,
-    exact_smoothness,
     finite_diff_grad,
     glorot_init,
     layer_layout,
 )
 from pls_lab.rng import SeededRng
+
+from _oracles import exact_smoothness, full_grad
 
 
 def make_quadratic(seed=1, dim=4, n=12, curvature=2.0):
@@ -20,7 +21,7 @@ def make_quadratic(seed=1, dim=4, n=12, curvature=2.0):
 class TestQuadratic:
     def test_full_gradient_vanishes_at_equilibrium(self):
         prob = make_quadratic()
-        npt.assert_array_equal(prob.full_grad(prob.x_star), np.zeros(prob.d))
+        npt.assert_array_equal(full_grad(prob, prob.x_star), np.zeros(prob.d))
 
     def test_scalar_single_center_gradient_is_linear(self):
         prob = QuadraticProblem(np.array([3.0]), np.array([[0.0]]))
@@ -30,13 +31,13 @@ class TestQuadratic:
     def test_full_batch_grad_equals_full_grad_bitwise(self):
         prob = make_quadratic()
         x = SeededRng(3).uniform_array(prob.d, -2, 2)
-        npt.assert_array_equal(prob.grad(x, np.arange(prob.n)), prob.full_grad(x))
+        npt.assert_array_equal(prob.grad(x, np.arange(prob.n)), full_grad(prob, x))
 
     def test_mean_of_single_sample_grads_is_full_grad(self):
         prob = make_quadratic()
         x = SeededRng(4).uniform_array(prob.d, -2, 2)
         singles = np.array([prob.grad(x, [i]) for i in range(prob.n)])
-        npt.assert_allclose(singles.mean(axis=0), prob.full_grad(x), rtol=1e-12, atol=1e-14)
+        npt.assert_allclose(singles.mean(axis=0), full_grad(prob, x), rtol=1e-12, atol=1e-14)
 
     def test_gradient_lipschitz_bound(self):
         prob = QuadraticProblem.random(5, 8, [2.0, 5.0, 1.0, 0.5, 3.0], 1.0, SeededRng(6))
@@ -45,7 +46,7 @@ class TestQuadratic:
         for _ in range(1000):
             x = rng.uniform_array(5, -3, 3)
             y = rng.uniform_array(5, -3, 3)
-            lhs = np.linalg.norm(prob.full_grad(x) - prob.full_grad(y))
+            lhs = np.linalg.norm(full_grad(prob, x) - full_grad(prob, y))
             assert lhs <= L * np.linalg.norm(x - y) * (1 + 1e-12)
 
     def test_exact_smoothness_is_max_curvature(self):
@@ -164,6 +165,22 @@ class TestMlp:
         assert abs(fwd - bwd) > 0.5
         npt.assert_allclose(bwd, 0.0, atol=1e-6)
         npt.assert_allclose(fwd, 1.0, atol=1e-3)
+
+    def test_blocked_weight_decay_matches_the_whole_array_sum(self):
+        # 784x64 weights span two blocks; gw += l2 * w on the whole array
+        # is the reference the blocked sum must match bit for bit
+        layers, l2 = [784, 64, 10], 1e-4
+        rng = SeededRng(14)
+        inputs = rng.uniform_array(30 * 784).reshape(30, 784)
+        targets = rng.uniform_array(30 * 10).reshape(30, 10)
+        x = glorot_init(layers, rng.spawn(1))
+        batch = [3, 7, 11, 29]
+        _, g = MlpLsrProblem(layers, inputs, targets, l2=l2).value_and_grad(x, batch)
+        plain = MlpLsrProblem(layers, inputs, targets)
+        _, expected = plain.value_and_grad(x, batch)
+        for (gw, _), (w, _) in zip(plain.unpack(expected), plain.unpack(x)):
+            gw += l2 * w
+        assert g.tobytes() == expected.tobytes()
 
     def test_value_and_grad_consistent(self):
         prob = small_mlp(l2=1e-2)

@@ -163,6 +163,30 @@ class TestExecute:
         assert len(full_passes) == 2
         assert summary["final_train_loss_raw"] < summary["final_train_loss"]
 
+    # test passes at 0, 2, 4; a run of 5 steps then tests x_final once more
+    @pytest.mark.parametrize("steps, passes", [(4, 3), (5, 4)])
+    def test_final_test_loss_is_taken_once(self, small_digits_dir, tmp_path, monkeypatch,
+                                           steps, passes):
+        test_passes = []
+        full_value = MlpLsrProblem.full_value
+
+        def counting(problem, x):
+            if problem.n == 60:  # the test split
+                test_passes.append(1)
+            return full_value(problem, x)
+
+        monkeypatch.setattr(MlpLsrProblem, "full_value", counting)
+        cfg_dict = mlp_classification_config(
+            small_digits_dir, layers=[64, 16, 10], steps=steps, seed=3,
+            rate={"kind": "fixed", "eta": 0.01}, limit=120, batch_size=20,
+            extra={"test_every": 2},
+        )
+        summary = execute_config(cfg_dict, tmp_path)
+        assert len(test_passes) == passes
+        _, rows = read_csv(tmp_path / "records.csv")
+        if steps == 4:
+            assert repr(summary["final_test_loss"]) == rows[-1][2]
+
     def test_limit_subsets_training_split(self, small_digits_dir):
         cfg = ExperimentConfig.from_dict(
             mlp_classification_config(

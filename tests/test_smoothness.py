@@ -6,11 +6,11 @@ import pytest
 
 from pls_lab.errors import DivergenceError
 from pls_lab.rng import SeededRng
-from pls_lab.smoothness import (
-    SmoothnessEstimator,
-    adaptive_rate,
-    base_rate_admissible,
-)
+from pls_lab.linalg import BLOCK
+from pls_lab.smoothness import SmoothnessEstimator, adaptive_rate
+from pls_lab.stability import sgd_rate_window
+
+from _oracles import ReferenceEstimator, base_rate_admissible
 
 TINY = 1e-300  # effectively-zero denominator guard for exact-ratio checks
 
@@ -86,6 +86,50 @@ class TestPredict:
         with pytest.raises(DivergenceError):
             est.predict(np.zeros(2), np.array([np.inf, 0.0]))
 
+    @pytest.mark.parametrize("n", [1, 7, 3 * BLOCK + 17])
+    @pytest.mark.parametrize("decay", ["constant", "sqrt_t"])
+    def test_readings_match_the_reference_over_50_calls(self, n, decay):
+        est = SmoothnessEstimator(0.01, 0.01, eta0=0.002, decay=decay)
+        ref = ReferenceEstimator(0.01, 0.01, eta0=0.002, decay=decay)
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n)
+        for _ in range(50):
+            scale = 10.0 ** rng.integers(-6, 3)
+            g = scale * rng.standard_normal(n + 2)[1:-1]  # a view, as in a run
+            assert est.predict(x, g) == ref.predict(x, g)
+            assert est.t == ref.t
+            assert est.prev_x.tobytes() == ref.prev_x.tobytes()
+            assert est.prev_g.tobytes() == ref.prev_g.tobytes()
+            x = x - scale * 1e-3 * rng.standard_normal(n)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_gradient_after_the_first_call(self, bad):
+        for est in (SmoothnessEstimator(0.01, 0.01, 1.0), ReferenceEstimator(0.01, 0.01, 1.0)):
+            est.predict(np.zeros(3), np.ones(3))
+            with pytest.raises(DivergenceError,
+                               match="^non-finite gradient in smoothness update$"):
+                est.predict(np.ones(3), np.array([1.0, bad, 1.0]))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("which", [0, 1])  # the iterate's or the gradient's difference
+    def test_overflowing_difference(self, which):
+        big = np.array([0.0, 1.7e308])
+        for est in (SmoothnessEstimator(0.01, 0.01, 1.0), ReferenceEstimator(0.01, 0.01, 1.0)):
+            est.predict(big, big)
+            pair = [big, big]
+            pair[which] = -big  # finite entries whose difference is -inf
+            with pytest.raises(DivergenceError, match="^non-finite entry in vector$"):
+                est.predict(*pair)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_sum_of_finite_squares(self):
+        # every entry of the difference is finite, its sum of squares is not:
+        # the reading is l_hat = inf with a zero step, as in the reference
+        for est in (SmoothnessEstimator(0.01, 0.01, 1.0), ReferenceEstimator(0.01, 0.01, 1.0)):
+            est.predict(np.zeros(2), np.zeros(2))
+            r = est.predict(np.ones(2), np.full(2, 1e200))
+            assert r.l_hat == math.inf and r.eta == 0.0
+
     def test_guards_must_be_positive(self):
         with pytest.raises(ValueError):
             SmoothnessEstimator(0.0, 0.01, eta0=1.0)
@@ -140,3 +184,9 @@ class TestBaseRateWindow:
     def test_rho_range_checked(self):
         with pytest.raises(ValueError):
             base_rate_admissible(0.5, 1.0)
+
+    def test_is_the_sgd_window_at_unit_smoothness(self):
+        for rho in (0.1, 0.5, 0.9):
+            lo, hi = sgd_rate_window(1.0, rho)
+            for eta0 in np.linspace(0.0, 1.2, 49):
+                assert base_rate_admissible(eta0, rho) == (lo <= eta0 <= hi)

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import numpy.testing as npt
@@ -264,7 +265,8 @@ def _draw(system, rng):
 
 def _per_step_simulation(m, steps, zeta0, rho, p=None):
     """The loop simulate_system replaced: a fresh array, errstate and
-    np.linalg.norm on every step."""
+    np.linalg.norm on every step, with math.hypot for a state whose
+    squared norm is below the normal range."""
     z = np.asarray(zeta0, dtype=np.float64).copy()
     scale = float(np.linalg.norm(z))
     bound = math.sqrt(cond2(p)) if p is not None else None
@@ -275,6 +277,8 @@ def _per_step_simulation(m, steps, zeta0, rho, p=None):
         with np.errstate(over="ignore", invalid="ignore"):
             z = m_t.as_array() @ z
             norm = float(np.linalg.norm(z))
+            if z.dot(z) < sys.float_info.min:
+                norm = math.hypot(*z)
         divisor = env.observe(norm)
         if divisor is None:
             return DecayReport(math.inf, bound, False if bound is not None else None, True)
@@ -296,6 +300,39 @@ def _seeded_systems():
     yield Matrix2(2e-5, 0.0, 0.0, 1.5e-5), 1e-5  # the squared norm underflows
     yield amsgrad_system(0.9, 1e308, 1.0, 1.0), 0.9  # non-finite state at step 2
     yield Matrix2(40.0, 1.0, 0.0, 2.0), 0.9  # the norm passes 1e150
+
+
+def _log_scaled_max_ratio(m, steps, rho):
+    """max_t ||M^t z0|| / rho^t from z0 = (1, 1)/sqrt(2), with the state
+    renormalised every step and its norm kept as a log."""
+    a = m.as_array()
+    z, log_norm, best = np.array([1.0, 1.0]) / math.sqrt(2.0), 0.0, 1.0
+    for t in range(1, steps + 1):
+        z = a @ z
+        norm = math.hypot(*z)
+        log_norm += math.log(norm)
+        z /= norm
+        best = max(best, math.exp(log_norm - t * math.log(rho)))
+    return best
+
+
+class TestStateBelowTheSquaredRange:
+    """A state whose squared norm underflows is carried at unit norm."""
+
+    @pytest.mark.parametrize("m, expected", [
+        (Matrix2(2e-5, 0.0, 0.0, 1.5e-5), 8.96e29),
+        (amsgrad_system(1e-9, 1.0, 1.0, 1.0), 7.07e53),
+    ])
+    def test_envelope_matches_a_log_scaled_simulation(self, m, expected):
+        zeta0 = np.array([1.0, 1.0]) / math.sqrt(2.0)
+        got = simulate_system(m, 100, zeta0, 1e-5).max_ratio
+        npt.assert_allclose(got, _log_scaled_max_ratio(m, 100, 1e-5), rtol=1e-9)
+        npt.assert_allclose(got, expected, rtol=1e-3)
+
+    def test_tiny_start_has_its_norm(self):
+        report = simulate_system(Matrix2(0.5, 0.0, 0.0, 0.5), 10, np.array([3e-170, 4e-170]),
+                                 0.9)
+        npt.assert_allclose(report.max_ratio, 1.0)
 
 
 class TestSimulationMatchesPerStepLoop:
