@@ -98,13 +98,17 @@ def _cmd_stability(args) -> int:
 
 
 def _cmd_make_dataset(args) -> int:
+    splits = {}  # both made before anything is written
+    for split, count, offset in (("train", args.train, 0), ("test", args.test, 1)):
+        try:
+            splits[split] = synthetic_digits(count, args.seed + offset, args.rows, args.cols)
+        except ValueError as exc:
+            print(f"error: {split} split: {exc}", file=sys.stderr)
+            return 2
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     written = {}
-    for split, count in (("train", args.train), ("test", args.test)):
-        images, labels = synthetic_digits(
-            count, args.seed + (0 if split == "train" else 1), args.rows, args.cols
-        )
+    for split, (images, labels) in splits.items():
         img_path = out / f"{split}-images.idx"
         lab_path = out / f"{split}-labels.idx"
         write_idx(img_path, images)

@@ -17,7 +17,12 @@ import numpy as np
 from .errors import DivergenceError, SingularSystemError
 
 # Positive-definiteness margin for leading principal minors. Exact for 2x2.
+# Certificates are tested at a rate below 1, where they are at least I.
 PD_TOL = 1e-12
+# A certificate solved at a rate rho >= 1 is scaled back by at most
+# 4**_MAX_UNSCALE, so its entries stay above 2**-500 and their products
+# in the normal range.
+_MAX_UNSCALE = 250
 
 
 # Elements per piece of a blocked elementwise pass: at 256 KB per float64
@@ -100,31 +105,44 @@ def solve_discrete_lyapunov2(m: Matrix2, rho: float) -> Matrix2 | None:
     P exists iff spectral_radius2(M) < rho. Raises SingularSystemError when
     rho^2 coincides with a product of eigenvalues (the solve is then
     non-unique); that can only happen in the infeasible regime.
+
+    For rho >= 1 the system is solved at the rate rho / 2**e < 1, with M
+    divided by the same power of two: that division is exact, rho^2
+    cannot overflow, and the solution 4**e P is tested against PD_TOL,
+    the margin the entries of P (about 1/rho^2) would fall under. P is
+    then scaled back exactly; for rho beyond 2**250 only by
+    4**_MAX_UNSCALE, so the P returned there solves the equation with
+    right-hand side -4**(e - _MAX_UNSCALE) I, the same certificate up to
+    a positive factor.
     """
     if rho <= 0.0:
         raise ValueError("rho must be positive")
     if not m.is_finite():
         raise DivergenceError("non-finite matrix entry")
-    r2 = rho * rho
+    e = max(math.frexp(rho)[1], 0)
+    s = math.ldexp(1.0, -e)
+    m11, m12, m21, m22, r = m.a11 * s, m.a12 * s, m.a21 * s, m.a22 * s, rho * s
+    r2 = r * r
     a = np.array(
         [
-            [m.a11 * m.a11 - r2, 2.0 * m.a11 * m.a21, m.a21 * m.a21],
-            [m.a11 * m.a12, m.a11 * m.a22 + m.a12 * m.a21 - r2, m.a21 * m.a22],
-            [m.a12 * m.a12, 2.0 * m.a12 * m.a22, m.a22 * m.a22 - r2],
+            [m11 * m11 - r2, 2.0 * m11 * m21, m21 * m21],
+            [m11 * m12, m11 * m22 + m12 * m21 - r2, m21 * m22],
+            [m12 * m12, 2.0 * m12 * m22, m22 * m22 - r2],
         ],
         dtype=np.float64,
     )
     b = np.array([-1.0, 0.0, -1.0], dtype=np.float64)
     try:
-        p11, p12, p22 = np.linalg.solve(a, b)
+        q11, q12, q22 = np.linalg.solve(a, b).tolist()
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(
             f"certificate solve is singular at rho={rho!r}"
         ) from exc
-    p = Matrix2(float(p11), float(p12), float(p12), float(p22))
-    if p.a11 > PD_TOL and p.det() > PD_TOL:
-        return p
-    return None
+    if not (q11 > PD_TOL and q11 * q22 - q12 * q12 > PD_TOL):
+        return None
+    k = -2 * min(e, _MAX_UNSCALE)
+    p12 = math.ldexp(q12, k)
+    return Matrix2(math.ldexp(q11, k), p12, p12, math.ldexp(q22, k))
 
 
 def cond2(p: Matrix2) -> float:

@@ -23,9 +23,16 @@ def _mix64(z: int) -> int:
 
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    """``_mix64`` of every entry of a uint64 array, in place; returns z."""
+    t = z >> np.uint64(30)
+    z ^= t
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    np.right_shift(z, np.uint64(27), out=t)
+    z ^= t
+    z *= np.uint64(0x94D049BB133111EB)
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
+    return z
 
 
 class SeededRng:
@@ -40,12 +47,16 @@ class SeededRng:
         self._count += 1
         return _mix64((self.seed + self._count * _GAMMA) & _MASK)
 
-    def _u64_block(self, n: int) -> np.ndarray:
-        counts = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
+    def skip(self, n: int) -> None:
+        """Advance past ``n`` draws without computing them."""
         self._count += n
-        with np.errstate(over="ignore"):
-            states = np.uint64(self.seed) + counts * np.uint64(_GAMMA)
-            return _mix64_array(states)
+
+    def _u64_block(self, n: int) -> np.ndarray:
+        z = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
+        self._count += n
+        z *= np.uint64(_GAMMA)  # integer arrays wrap mod 2**64 silently
+        z += np.uint64(self.seed)
+        return _mix64_array(z)
 
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
         """Uniform double in [lo, hi) with 53 bits of resolution."""
@@ -54,8 +65,13 @@ class SeededRng:
 
     def uniform_array(self, n: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
         """Vectorized ``uniform``; consumes the same draws as n scalar calls."""
-        u = (self._u64_block(n) >> np.uint64(11)).astype(np.float64) * _INV_2_53
-        return lo + (hi - lo) * u
+        bits = self._u64_block(n)
+        bits >>= np.uint64(11)
+        u = bits.astype(np.float64)
+        u *= _INV_2_53
+        u *= hi - lo
+        u += lo
+        return u
 
     def randint(self, n: int) -> int:
         """Uniform integer in [0, n). Modulo bias is ~n/2**64, negligible here."""
@@ -70,12 +86,14 @@ class SeededRng:
         return (self._u64_block(count) % np.uint64(n)).astype(np.int64)
 
     def permutation(self, n: int) -> np.ndarray:
-        """Fisher-Yates permutation of arange(n)."""
-        perm = np.arange(n, dtype=np.int64)
-        for i in range(n - 1, 0, -1):
-            j = self.randint(i + 1)
-            perm[i], perm[j] = perm[j], perm[i]
-        return perm
+        """Fisher-Yates permutation of arange(n): for i from n-1 down to 1,
+        swap i with ``randint(i + 1)``. The n-1 draws come in one block."""
+        perm = list(range(n))
+        if n > 1:
+            bounds = np.arange(n, 1, -1, dtype=np.uint64)
+            for i, j in zip(range(n - 1, 0, -1), (self._u64_block(n - 1) % bounds).tolist()):
+                perm[i], perm[j] = perm[j], perm[i]
+        return np.array(perm, dtype=np.int64)
 
     def spawn(self, key: int) -> "SeededRng":
         """Independent child stream; deterministic in (seed, key).

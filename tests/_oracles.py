@@ -1,14 +1,16 @@
 """Oracles and reference code that the tests share and the library does not need.
 
 The reference updates and estimator are the library's earlier whole-array
-expressions; the library's blocked, in-place versions must match them bit
-for bit.
+expressions, the reference permutation and digit generator its earlier
+scalar loops; the library's blocked, in-place and chunked versions must
+match them bit for bit.
 """
 
 import numpy as np
 
 from pls_lab.errors import DivergenceError
 from pls_lab.optimizers import VHAT_FLOOR, run_optimizer
+from pls_lab.rng import SeededRng
 from pls_lab.smoothness import SmoothnessEstimator, SmoothnessReading, adaptive_rate
 
 
@@ -100,3 +102,56 @@ def run_with_iterates(obj, algorithm, rate_source, **kwargs):
 
     res = run_optimizer(obj, algorithm, rate_source, test_fn=record, test_every=1, **kwargs)
     return res, np.array(seen)
+
+
+def fisher_yates(rng, n):
+    """Permutation of arange(n): swap i with rng.randint(i + 1) for i from
+    n - 1 down to 1, one scalar draw at a time."""
+    perm = np.arange(n, dtype=np.int64)
+    for i in range(n - 1, 0, -1):
+        j = rng.randint(i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
+def synthetic_digits_loop(n, seed, rows=28, cols=28, num_classes=10, label_noise=0.10):
+    """The digit generator one sample at a time, with scalar draws."""
+    rng = SeededRng(seed)
+    yy, xx = np.mgrid[0:rows, 0:cols].astype(np.float64)
+    class_rng = SeededRng(0xD161).spawn(7)
+    blobs_per_class = 3
+    class_blobs = []
+    for _ in range(num_classes):
+        centers = class_rng.uniform_array(blobs_per_class * 2, 0.25, 0.75)
+        widths = class_rng.uniform_array(blobs_per_class, 0.09, 0.16)
+        class_blobs.append((centers.reshape(blobs_per_class, 2), widths))
+
+    images = np.zeros((n, rows, cols), dtype=np.uint8)
+    labels = (np.arange(n) % num_classes).astype(np.int64)
+    labels = labels[fisher_yates(rng, n)]
+    for i in range(n):
+        centers, widths = class_blobs[labels[i]]
+        jitter = rng.uniform_array(blobs_per_class * 2, -0.10, 0.10).reshape(-1, 2)
+        amps = rng.uniform_array(blobs_per_class, 1.2, 1.9)
+        canvas = np.zeros((rows, cols))
+        for (cy, cx), (jy, jx), w, amp in zip(centers, jitter, widths, amps):
+            dy = (yy / rows - (cy + jy)) ** 2
+            dx = (xx / cols - (cx + jx)) ** 2
+            canvas += amp * np.exp(-(dy + dx) / (2.0 * w * w))
+        for _ in range(4):
+            cy, cx = rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95)
+            w = rng.uniform(0.04, 0.12)
+            amp = rng.uniform(0.4, 1.5)
+            dy = (yy / rows - cy) ** 2
+            dx = (xx / cols - cx) ** 2
+            canvas += amp * np.exp(-(dy + dx) / (2.0 * w * w))
+        if rng.uniform() < 0.10:
+            canvas *= 1.7
+        canvas = np.clip(canvas, 0.0, 1.0)
+        canvas[canvas < 0.10] = 0.0
+        paper = rng.uniform_array(rows * cols, 0.0, 0.30).reshape(rows, cols)
+        canvas = np.clip(canvas + paper, 0.0, 1.0)
+        images[i] = np.round(canvas * 255.0).astype(np.uint8)
+        if label_noise > 0.0 and rng.uniform() < label_noise:
+            labels[i] = rng.randint(num_classes)
+    return images, labels.astype(np.uint8)

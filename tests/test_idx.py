@@ -2,10 +2,13 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from pls_lab import datasets
 from pls_lab.datasets import Dataset, from_idx, one_hot, subset, synthetic_digits
 from pls_lab.errors import IdxFormatError
 from pls_lab.idx import MAGIC_IMAGES, MAGIC_LABELS, load_idx, write_idx
 from pls_lab.rng import SeededRng
+
+from _oracles import synthetic_digits_loop
 
 
 class TestIdxCodec:
@@ -142,3 +145,53 @@ class TestDataset:
         npt.assert_array_equal(a_lab, b_lab)
         assert a_img.dtype == np.uint8
         assert set(np.unique(a_lab)) <= set(range(10))
+
+
+class TestSyntheticDigits:
+    @pytest.mark.parametrize("n, seed, kwargs", [
+        (1000, 5, {}),  # the acceptance fixtures
+        (200, 6, {}),
+        (1000, 10001, {}),  # the benchmark's training split
+        (50, 9, {"rows": 8, "cols": 8}),
+        (20, 1, {"rows": 9, "cols": 7}),
+        (1, 3, {}),
+        (datasets._CHUNK - 1, 4, {}),
+        (datasets._CHUNK, 4, {}),
+        (datasets._CHUNK + 1, 4, {}),
+        (300, 8, {"label_noise": 0.0}),
+        (300, 8, {"label_noise": 1.0}),
+    ])
+    def test_chunks_match_the_sample_loop_byte_for_byte(self, n, seed, kwargs):
+        images, labels = synthetic_digits(n, seed, **kwargs)
+        want_images, want_labels = synthetic_digits_loop(n, seed, **kwargs)
+        assert images.dtype == want_images.dtype and images.shape == want_images.shape
+        assert labels.dtype == want_labels.dtype and labels.shape == want_labels.shape
+        assert images.tobytes() == want_images.tobytes()
+        assert labels.tobytes() == want_labels.tobytes()
+
+    def test_peak_memory_is_a_few_chunks(self):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            synthetic_digits(1000, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 0.78 MB of images plus one chunk's draws and canvases; the whole
+        # stream of 1000 samples' draws alone would take 6.5 MB
+        assert peak < 5_000_000, peak
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"n": 0}, "at least 1"),
+        ({"n": -3}, "at least 1"),
+        ({"rows": 0}, "at least 1"),
+        ({"cols": -1}, "at least 1"),
+        ({"label_noise": -0.1}, r"label_noise must lie in \[0, 1\]"),
+        ({"label_noise": 1.5}, r"label_noise must lie in \[0, 1\]"),
+        ({"label_noise": float("nan")}, r"label_noise must lie in \[0, 1\]"),
+    ])
+    def test_degenerate_arguments_rejected(self, kwargs, message):
+        args = dict({"n": 5, "seed": 1, "rows": 8, "cols": 8}, **kwargs)
+        with pytest.raises(ValueError, match=message):
+            synthetic_digits(**args)

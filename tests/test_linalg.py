@@ -130,6 +130,40 @@ class TestDiscreteLyapunov:
                 continue
             assert (p is not None) == (sr < rho), f"sr={sr} rho={rho}"
 
+    def test_solution_at_rates_above_one_is_the_unscaled_solve(self):
+        # solving at rho / 2**e with M / 2**e is exact: the same bits as the
+        # direct solve wherever that solve is a certificate
+        rng = SeededRng(78)
+        for _ in range(2000):
+            m = Matrix2(*rng.uniform_array(4, -3.0, 3.0))
+            rho = spectral_radius2(m) + rng.uniform(0.05, 1.0) + 1.0
+            r2 = rho * rho
+            a = np.array([
+                [m.a11 * m.a11 - r2, 2.0 * m.a11 * m.a21, m.a21 * m.a21],
+                [m.a11 * m.a12, m.a11 * m.a22 + m.a12 * m.a21 - r2, m.a21 * m.a22],
+                [m.a12 * m.a12, 2.0 * m.a12 * m.a22, m.a22 * m.a22 - r2],
+            ])
+            direct = [float(v) for v in np.linalg.solve(a, np.array([-1.0, 0.0, -1.0]))]
+            p = solve_discrete_lyapunov2(m, rho)
+            assert [p.a11, p.a12, p.a22] == direct
+            assert p.a12 == p.a21
+
+    @pytest.mark.parametrize("rho", [1e6, 1e75, 1e76, 1e154, 1e155, 1e308])
+    def test_large_rates_are_certified(self, rho):
+        m = Matrix2(0.9, 0.2, -0.1, 0.5)
+        p = solve_discrete_lyapunov2(m, rho)
+        assert p is not None
+        e = math.frexp(rho)[1]
+        # the equation holds scaled by 4**-e; beyond 2**250 P is returned
+        # 4**(e - 250) larger, a certificate up to that positive factor
+        q = p.as_array() * 4.0 ** min(e, 250)
+        n, r = m.as_array() * math.ldexp(1.0, -e), math.ldexp(rho, -e)
+        npt.assert_allclose(n.T @ q @ n - r * r * q, -np.eye(2), atol=1e-12)
+        assert p.det() > 0.0 and 1.0 <= cond2(p) < 1.0 + 1e-12
+
+    def test_large_rate_below_the_radius_is_infeasible(self):
+        assert solve_discrete_lyapunov2(Matrix2(3e6, 0.0, 0.0, 1.0), 2e6) is None
+
     def test_rho_must_be_positive(self):
         with pytest.raises(ValueError):
             solve_discrete_lyapunov2(Matrix2(1.0, 0.0, 0.0, 1.0), 0.0)

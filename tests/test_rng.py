@@ -4,6 +4,8 @@ import pytest
 
 from pls_lab.rng import SeededRng
 
+from _oracles import fisher_yates
+
 
 def test_equal_seeds_equal_streams_one_million():
     a = SeededRng(12345)
@@ -59,6 +61,23 @@ def test_permutation_is_deterministic_permutation():
     npt.assert_array_equal(p1, p2)
     npt.assert_array_equal(np.sort(p1), np.arange(50))
     assert not np.array_equal(p1, np.arange(50))
+
+
+@pytest.mark.parametrize("n", [-2, 0, 1, 2, 3, 50, 1000])
+def test_permutation_matches_the_scalar_fisher_yates_loop(n):
+    a, b = SeededRng(n + 17), SeededRng(n + 17)
+    got = a.permutation(n)
+    want = fisher_yates(b, n)
+    assert got.dtype == want.dtype == np.int64
+    npt.assert_array_equal(got, want)
+    assert a.next_u64() == b.next_u64()  # the same number of draws
+
+
+def test_skip_passes_over_draws():
+    a, b = SeededRng(6), SeededRng(6)
+    a.skip(1000)
+    b.uniform_array(1000)
+    assert a.next_u64() == b.next_u64()
 
 
 def test_spawn_streams_independent_and_deterministic():

@@ -521,6 +521,17 @@ class TestCli:
         assert load_idx(paths["train_images"]).shape == (12, 8, 8)
         assert load_idx(paths["test_labels"]).shape == (4,)
 
+    @pytest.mark.parametrize("flags", [["--train", "0"], ["--train", "-3"], ["--test", "0"],
+                                       ["--rows", "0"], ["--cols", "-2"]])
+    def test_make_dataset_rejects_degenerate_sizes(self, tmp_path, capsys, flags):
+        out = tmp_path / "d"
+        assert main(["make-dataset", "--out", str(out), "--train", "12", "--test", "4",
+                     "--rows", "8", "--cols", "8"] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "must be at least 1" in captured.err
+        assert not out.exists()  # nothing written, the train split included
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)]) == 2

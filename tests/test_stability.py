@@ -402,3 +402,19 @@ class TestAnalyze:
     def test_unknown_system_rejected(self):
         with pytest.raises(ValueError, match="unknown system"):
             analyze("t4", L=1.0, eta=0.5, rho=0.9)
+
+    @pytest.mark.parametrize("system, params", [
+        ("t2", {"beta1": 0.9, "sqrtvhat": 0.1, "L": 1.0, "eta": 0.05}),
+        ("t3", {"kappa": 100.0, "xi": 5.0, "L": 1.0, "eta": 0.5}),
+    ])
+    @pytest.mark.parametrize("rho", [1e3, 1e6, 1e77, 1e308])
+    def test_large_rate_is_certified(self, system, params, rho, capsys):
+        # the certificate is about 1/rho^2, far under the absolute margin,
+        # and rho^2 overflows at 1e308
+        report = analyze(system, rho=rho, **params)
+        assert report["lmi_feasible"] and report["spectral_radius"] < 1.0
+        assert 1.0 <= report["cond_p"] < 1.0 + 1e-5
+        assert report["envelope"]["within_bound"]
+        argv = ["stability", system] + [f"--{k}={v!r}" for k, v in dict(params, rho=rho).items()]
+        assert main(argv) == 0
+        assert '"lmi_feasible": true' in capsys.readouterr().out
