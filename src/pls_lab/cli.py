@@ -93,7 +93,7 @@ def _cmd_stability(args) -> int:
     except (ValueError, PlsLabError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(json.dumps(result, indent=2))
+    print(json.dumps(result, indent=2, allow_nan=False))
     return 0
 
 

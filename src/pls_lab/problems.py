@@ -13,30 +13,12 @@ difference oracle below is the cross-check for it.
 
 from __future__ import annotations
 
-from typing import Protocol, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .linalg import BLOCK, blocks
 from .rng import SeededRng
-
-
-class FiniteSumObjective(Protocol):
-    """Average-of-samples loss with analytic minibatch gradients."""
-
-    n: int
-    d: int
-    layer_partition: list[tuple[int, int]]
-
-    def value(self, x: np.ndarray, batch: Sequence[int]) -> float: ...
-
-    def grad(self, x: np.ndarray, batch: Sequence[int]) -> np.ndarray: ...
-
-    def value_and_grad(
-        self, x: np.ndarray, batch: Sequence[int]
-    ) -> tuple[float, np.ndarray]: ...
-
-    def full_value(self, x: np.ndarray) -> float: ...
 
 
 def _check_batch(batch: Sequence[int], n: int) -> np.ndarray:
@@ -243,7 +225,7 @@ def glorot_init(layer_sizes: Sequence[int], rng: SeededRng) -> np.ndarray:
 
 
 def finite_diff_grad(
-    obj: FiniteSumObjective,
+    obj: QuadraticProblem | MlpLsrProblem,
     x: np.ndarray,
     batch: Sequence[int],
     h: float = 1e-6,

@@ -13,8 +13,10 @@ together into the report that ``pls-lab stability`` prints.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -239,6 +241,7 @@ _TINY = 1e-300  # below this norm a simulated state is carried at unit norm
 _HUGE = 1e150  # beyond this norm a simulated trajectory has overflowed
 _LOG_HUGE = math.log(_HUGE)
 _MIN_NORMAL = sys.float_info.min
+_CHUNK = 256  # states per trajectory array: the 100-step default is one chunk
 
 
 def _norm2(z: np.ndarray) -> float:
@@ -273,22 +276,82 @@ class _Envelope:
             divisor, norm = norm, 1.0
         if not (norm <= _HUGE and self.shift <= _LOG_HUGE):  # also nan
             return None
-        ratio = self._ratio(norm)
+        ratio = self._ratio(norm, self.t, self.pow_rho * self.scale)
         if ratio > self.max_ratio:
             self.max_ratio = ratio
         return divisor
 
-    def _ratio(self, norm: float) -> float:
-        den = self.pow_rho * self.scale
+    def observe_run(self, norms: np.ndarray) -> int | None:
+        """Take the next states' norms as observe would, up to the first that
+        needs rescaling; return how many were taken, or None on an overflow."""
+        taken = norms.size
+        if not (norms.max() <= _HUGE and norms.min() >= _TINY):  # also nan
+            stop = ~(norms <= _HUGE) | ((norms > 0.0) & (norms < _TINY))
+            taken = int(stop.argmax()) if stop.any() else taken
+            if taken < norms.size and not norms[taken] < _TINY:
+                return None
+        pows = np.full(taken + 1, self.rho, np.float64)
+        pows[0] = self.pow_rho
+        np.multiply.accumulate(pows, out=pows)  # rho^t by the same products
+        dens = pows[1:] * self.scale
+        ratios = norms[:taken] / dens
+        if taken and not (self.rho > 0.0 and dens[-1] > 0.0):  # for rho > 0, 0 comes last
+            for i in np.flatnonzero(~(dens > 0.0)).tolist():  # the log path of _ratio
+                ratios[i] = self._ratio(norms[i], self.t + i + 1, dens[i])
+        self.t, self.pow_rho = self.t + taken, float(pows[-1])
+        self.max_ratio = float(ratios.max(initial=self.max_ratio))
+        return taken
+
+    def _ratio(self, norm: float, t: int, den: float) -> float:
         if den > 0.0 and not self.shift:
             return norm / den
         if norm == 0.0:
             return 0.0
         try:
-            return math.exp(math.log(norm) + self.shift - self.t * math.log(self.rho)
+            return math.exp(math.log(norm) + self.shift - t * math.log(self.rho)
                             - math.log(self.scale))
         except OverflowError:
             return math.inf
+
+
+def _simulate(env: _Envelope, z, inputs, chunk, step, norm) -> bool:
+    """Feed env the norms of z_t = step(input_t, z_{t-1}); False on an overflow.
+    ``chunk(z, inputs)`` makes many states and norms with the operations of
+    ``step`` and ``norm``, which go on from the first state to rescale."""
+    inputs = iter(inputs)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while not env.shift and (part := list(islice(inputs, _CHUNK))):
+            states, norms = chunk(z, part)
+            taken = env.observe_run(norms)
+            if taken is None:
+                return False
+            if taken < len(part):  # go on from the state before that one
+                z, inputs = (states[taken - 1] if taken else z), chain(part[taken:], inputs)
+                break
+            z = states[-1]
+        for x in inputs:
+            z = step(x, z)
+            divisor = env.observe(norm(z))
+            if divisor is None:
+                return False
+            z /= divisor
+    return True
+
+
+def _scalar_chunk(z, factors):
+    traj = np.multiply.accumulate(np.fromiter(chain((z,), factors), np.float64))[1:]
+    return traj.tolist(), np.abs(traj)  # the states as floats, as step makes them
+
+
+def _matrix_chunk(z, matrices):
+    traj = np.empty((len(matrices), 2))
+    for a, row in zip(matrices, list(traj)):
+        z = a.dot(z, out=row)  # the dgemv of a @ z
+    sq = np.matmul(traj[:, None, :], traj[:, :, None]).ravel()  # the ddot of z.dot(z)
+    norms = np.sqrt(sq)
+    for i in np.flatnonzero(sq < _MIN_NORMAL).tolist():  # the rows _norm2 takes to hypot
+        norms[i] = _norm2(traj[i])
+    return traj, norms
 
 
 def simulate_factors(factors, z0: float, rho: float) -> DecayReport:
@@ -297,14 +360,8 @@ def simulate_factors(factors, z0: float, rho: float) -> DecayReport:
     if z == 0.0:
         return DecayReport(0.0, None, None, False)
     env = _Envelope(rho, abs(z))
-    for f in factors:
-        z *= f
-        divisor = env.observe(abs(z))
-        if divisor is None:
-            return DecayReport(math.inf, None, None, True)
-        if divisor != 1.0:
-            z /= divisor
-    return DecayReport(env.max_ratio, None, None, False)
+    overflowed = not _simulate(env, z, factors, _scalar_chunk, operator.mul, abs)
+    return DecayReport(math.inf if overflowed else env.max_ratio, None, None, overflowed)
 
 
 def simulate_system(
@@ -315,24 +372,16 @@ def simulate_system(
     When a certificate P is supplied the observed envelope is compared
     against sqrt(cond(P)), the bound the certificate promises.
     """
-    z = np.asarray(zeta0, dtype=np.float64).copy()
+    z = np.asarray(zeta0, dtype=np.float64)
     scale = _norm2(z)
     bound = math.sqrt(cond2(p)) if p is not None else None
     if scale == 0.0:
         return DecayReport(0.0, bound, True if bound is not None else None, False)
     env = _Envelope(rho, scale)
-    a = m.as_array()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(steps):
-            z = a @ z
-            divisor = env.observe(_norm2(z))
-            if divisor is None:
-                return DecayReport(math.inf, bound, False if bound is not None else None, True)
-            if divisor != 1.0:
-                z /= divisor
-    max_ratio = env.max_ratio
-    within = (max_ratio <= bound * (1.0 + 1e-9)) if bound is not None else None
-    return DecayReport(max_ratio, bound, within, False)
+    if not _simulate(env, z, repeat(m.as_array(), steps), _matrix_chunk, np.matmul, _norm2):
+        return DecayReport(math.inf, bound, False if bound is not None else None, True)
+    within = (env.max_ratio <= bound * (1.0 + 1e-9)) if bound is not None else None
+    return DecayReport(env.max_ratio, bound, within, False)
 
 
 # --- the report of one system ---
@@ -360,7 +409,8 @@ def analyze(
     kappa: float | None = None,
     xi: float | None = None,
 ) -> dict:
-    """Stability report of one linearized system, ready for ``json.dumps``.
+    """Stability report of one linearized system, ready for ``json.dumps``
+    with ``allow_nan=False``: every non-finite number in it is None.
 
     ``system`` is "t1" (plain descent: L, eta, rho), "t2" (adaptive
     moments: beta1, sqrtvhat, L, eta, and rho, which defaults to
@@ -377,7 +427,7 @@ def analyze(
         window = sgd_rate_window(L, rho)
         factor = sgd_factor(eta, L)
         stable = window[0] <= eta <= window[1]
-        sim = simulate_factors([factor] * steps, 1.0, rho)
+        sim = simulate_factors(repeat(factor, steps), 1.0, rho)
         report = {
             "system": "sgd",
             "rho": rho,
@@ -426,11 +476,14 @@ def analyze(
     if steps < 0:  # checked last, so every other fault keeps its message
         raise ValueError("steps must be non-negative")
     report["stable"] = stable
-    report["envelope"] = {
-        "steps": steps,
-        "max_ratio": None if math.isinf(sim.max_ratio) else sim.max_ratio,
-        "bound": sim.bound,
-        "within_bound": sim.within_bound,
-        "overflowed": sim.overflowed,
-    }
-    return report
+    report["envelope"] = {"steps": steps, **vars(sim)}
+    return _finite_or_none(report)
+
+
+def _finite_or_none(value):
+    """``value`` with None for each non-finite float in it: strict JSON."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, list):
+        return [_finite_or_none(v) for v in value]
+    return {k: _finite_or_none(v) for k, v in value.items()} if isinstance(value, dict) else value

@@ -1,17 +1,22 @@
 """Oracles and reference code that the tests share and the library does not need.
 
 The reference updates and estimator are the library's earlier whole-array
-expressions, the reference permutation and digit generator its earlier
-scalar loops; the library's blocked, in-place and chunked versions must
-match them bit for bit.
+expressions, the reference permutation, digit generator and envelope
+simulations its earlier per-step loops; the library's blocked, in-place
+and chunked versions must match them bit for bit.
 """
+
+import math
+import sys
 
 import numpy as np
 
 from pls_lab.errors import DivergenceError
+from pls_lab.linalg import cond2
 from pls_lab.optimizers import VHAT_FLOOR, run_optimizer
 from pls_lab.rng import SeededRng
 from pls_lab.smoothness import SmoothnessEstimator, SmoothnessReading, adaptive_rate
+from pls_lab.stability import DecayReport, _Envelope
 
 
 def l2_norm(v: np.ndarray) -> float:
@@ -155,3 +160,45 @@ def synthetic_digits_loop(n, seed, rows=28, cols=28, num_classes=10, label_noise
         if label_noise > 0.0 and rng.uniform() < label_noise:
             labels[i] = rng.randint(num_classes)
     return images, labels.astype(np.uint8)
+
+
+def simulate_factors_loop(factors, z0, rho):
+    """simulate_factors one step and one envelope observation at a time."""
+    z = float(z0)
+    if z == 0.0:
+        return DecayReport(0.0, None, None, False)
+    env = _Envelope(rho, abs(z))
+    for f in factors:
+        z *= f
+        divisor = env.observe(abs(z))
+        if divisor is None:
+            return DecayReport(math.inf, None, None, True)
+        if divisor != 1.0:
+            z /= divisor
+    return DecayReport(env.max_ratio, None, None, False)
+
+
+def simulate_system_loop(m, steps, zeta0, rho, p=None):
+    """simulate_system one step at a time: a fresh array, errstate and
+    np.linalg.norm on every step, with math.hypot for a state whose
+    squared norm is below the normal range."""
+    z = np.asarray(zeta0, dtype=np.float64).copy()
+    scale = float(np.linalg.norm(z))
+    bound = math.sqrt(cond2(p)) if p is not None else None
+    if scale == 0.0:
+        return DecayReport(0.0, bound, True if bound is not None else None, False)
+    env = _Envelope(rho, scale)
+    for m_t in [m] * steps:
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = m_t.as_array() @ z
+            norm = float(np.linalg.norm(z))
+            if z.dot(z) < sys.float_info.min:
+                norm = math.hypot(*z)
+        divisor = env.observe(norm)
+        if divisor is None:
+            return DecayReport(math.inf, bound, False if bound is not None else None, True)
+        if divisor != 1.0:
+            z /= divisor
+    max_ratio = env.max_ratio
+    within = (max_ratio <= bound * (1.0 + 1e-9)) if bound is not None else None
+    return DecayReport(max_ratio, bound, within, False)

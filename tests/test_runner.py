@@ -419,6 +419,17 @@ class TestCli:
         assert envelope["overflowed"]
         assert envelope["max_ratio"] is None
 
+    def test_stability_underflowing_rate_power_prints_no_warning(self, capsys):
+        # rho^t ||z_0|| reaches 0 while the state does not: no division by zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["stability", "t2", "--beta1=1e-9", "--sqrtvhat=1", "--L=1",
+                         "--eta=1", "--rho=1e-5"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["envelope"]["max_ratio"] == pytest.approx(7.07e53,
+                                                                                   rel=1e-3)
+
     def test_stability_t2_names_a_bad_beta1_before_the_default_rho(self, capsys):
         assert main(["stability", "t2", "--beta1", "-0.5", "--sqrtvhat", "1",
                      "--L", "1", "--eta", "0.5"]) == 2

@@ -1,19 +1,21 @@
 import json
 import math
-import sys
+import tracemalloc
+from itertools import repeat
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from _oracles import simulate_factors_loop, simulate_system_loop
+from pls_lab import stability
 from pls_lab.cli import main
-from pls_lab.errors import ConsistencyError
-from pls_lab.linalg import Matrix2, cond2, eig2x2, spectral_radius2
+from pls_lab.linalg import Matrix2, eig2x2, spectral_radius2
 from pls_lab.rng import SeededRng
 from pls_lab.stability import (
+    _CHUNK,
     AGREEMENT_TOL,
     DecayReport,
-    _Envelope,
     accsgd_nominal_eigenvalues,
     accsgd_rate_window,
     accsgd_stability,
@@ -263,32 +265,6 @@ def _draw(system, rng):
             "eta": rng.uniform(-0.5, 1.5) / L, "rho": rng.uniform(0.5, 0.999)}
 
 
-def _per_step_simulation(m, steps, zeta0, rho, p=None):
-    """The loop simulate_system replaced: a fresh array, errstate and
-    np.linalg.norm on every step, with math.hypot for a state whose
-    squared norm is below the normal range."""
-    z = np.asarray(zeta0, dtype=np.float64).copy()
-    scale = float(np.linalg.norm(z))
-    bound = math.sqrt(cond2(p)) if p is not None else None
-    if scale == 0.0:
-        return DecayReport(0.0, bound, True if bound is not None else None, False)
-    env = _Envelope(rho, scale)
-    for m_t in [m] * steps:
-        with np.errstate(over="ignore", invalid="ignore"):
-            z = m_t.as_array() @ z
-            norm = float(np.linalg.norm(z))
-            if z.dot(z) < sys.float_info.min:
-                norm = math.hypot(*z)
-        divisor = env.observe(norm)
-        if divisor is None:
-            return DecayReport(math.inf, bound, False if bound is not None else None, True)
-        if divisor != 1.0:
-            z /= divisor
-    max_ratio = env.max_ratio
-    within = (max_ratio <= bound * (1.0 + 1e-9)) if bound is not None else None
-    return DecayReport(max_ratio, bound, within, False)
-
-
 def _seeded_systems():
     rng = SeededRng(31)
     for _ in range(200):
@@ -335,18 +311,94 @@ class TestStateBelowTheSquaredRange:
         npt.assert_allclose(report.max_ratio, 1.0)
 
 
+_STEP_COUNTS = (0, 1, 100, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7)
+
+
+def _factor_lists():
+    rng = SeededRng(41)
+    for steps in _STEP_COUNTS:
+        rho = rng.uniform(0.05, 0.99)
+        yield [rng.uniform(-1.2, 1.2)] * steps, rho
+        for lo, hi in ((-1.0, 1.0), (0.5, 1.6)):  # the first passes 1e-300 near step 690
+            yield rng.uniform_array(steps, lo, hi).tolist(), rho
+    yield [2e-5] * 100, 1e-5  # the state passes 1e-300 at step 64; max ratio 1.27e30
+    yield [0.0125] * 165, 0.01  # the state passes 1e-300 at step 158, before rho^t underflows
+    yield [0.05] * 200, 0.01  # rho^t underflows at step 162, the state never passes 1e-300
+    yield [3.0] * 400, 0.9  # overflow
+    yield [0.5, math.nan, 0.5], 0.9
+    yield [0.5, 0.0, 0.5], 0.9
+
+
+def _first_state_below_tiny(next_state, z, steps):
+    for t in range(1, steps + 1):
+        z = next_state(z)
+        if math.hypot(*np.atleast_1d(z)) < 1e-300:
+            return t
+    return None
+
+
 class TestSimulationMatchesPerStepLoop:
+    zeta0 = np.array([1.0, 1.0]) / math.sqrt(2.0)
+
     def test_bit_for_bit(self):
-        zeta0 = np.array([1.0, 1.0]) / math.sqrt(2.0)
         compared = certified = 0
-        for m, rho in _seeded_systems():
+        for k, (m, rho) in enumerate(_seeded_systems()):
             p = lyapunov_verdict(m, rho).lyapunov_p
-            for steps in (0, 1, 100):
-                got = simulate_system(m, steps, zeta0, rho, p)
-                assert repr(got) == repr(_per_step_simulation(m, steps, zeta0, rho, p))
+            # every chunk boundary on one seeded system in eight and the last four
+            for steps in _STEP_COUNTS if k % 8 == 0 or k >= 400 else _STEP_COUNTS[:3]:
+                got = simulate_system(m, steps, self.zeta0, rho, p)
+                assert repr(got) == repr(simulate_system_loop(m, steps, self.zeta0, rho, p))
                 compared += 1
             certified += p is not None
-        assert compared == 3 * 404 and 0 < certified < 404
+        assert compared == 3 * 404 + 4 * 54 and 0 < certified < 404
+
+    def test_factors_bit_for_bit(self):
+        for z0 in (1.0, -3e-310, 7.5e200):
+            for factors, rho in _factor_lists():
+                want = repr(simulate_factors_loop(factors, z0, rho))
+                assert repr(simulate_factors(factors, z0, rho)) == want
+                assert repr(simulate_factors(iter(factors), z0, rho)) == want
+
+    @pytest.mark.parametrize("diagonal, rho", [(0.2, 0.1), (0.01, 0.5)])
+    def test_rescale_from_mid_chunk(self, diagonal, rho):
+        # 0.2^t passes 1e-300 at step 430, in the second chunk, and 0.1^t
+        # underflows before it; 0.01^t passes it at step 151
+        steps = 3 * _CHUNK + 7
+        m = Matrix2(diagonal, 0.0, 0.0, diagonal)
+        first = _first_state_below_tiny(m.as_array().dot, self.zeta0, steps)
+        assert 0 < (first - 1) % _CHUNK < _CHUNK - 1
+        assert repr(simulate_system(m, steps, self.zeta0, rho)) == repr(
+            simulate_system_loop(m, steps, self.zeta0, rho))
+        factors = [diagonal] * steps
+        assert _first_state_below_tiny(lambda z: z * diagonal, 1.0, steps) == first
+        assert repr(simulate_factors(factors, 1.0, rho)) == repr(
+            simulate_factors_loop(factors, 1.0, rho))
+
+    def test_ratio_past_underflowing_rho_power_before_rescaling(self):
+        # rho^t underflows at step 162; the max ratio is 5^200, at the last step
+        m = Matrix2(0.05, 0.0, 0.0, 0.05)
+        got = simulate_system(m, 200, self.zeta0, 0.01)
+        assert repr(got) == repr(simulate_system_loop(m, 200, self.zeta0, 0.01))
+        npt.assert_allclose(got.max_ratio, 5.0**200, rtol=1e-9)
+        npt.assert_allclose(simulate_factors([0.05] * 200, 1.0, 0.01).max_ratio, 5.0**200,
+                            rtol=1e-9)
+
+    def test_integer_rate(self):
+        # rho^t is a float product, as in the per-step loop, not an integer one
+        m = Matrix2(2.5, 0.0, 0.0, 2.5)
+        got = simulate_system(m, 300, self.zeta0, 2)
+        assert repr(got) == repr(simulate_system_loop(m, 300, self.zeta0, 2))
+        assert repr(simulate_factors([2.5] * 300, 1.0, 2)) == repr(
+            simulate_factors_loop([2.5] * 300, 1.0, 2))
+        npt.assert_allclose(got.max_ratio, 1.25**300, rtol=1e-9)
+
+    def test_negative_steps_simulate_nothing(self):
+        m = amsgrad_system(0.9, 1.0, 1.0, 1.0)
+        p = lyapunov_verdict(m, 0.99).lyapunov_p
+        got = simulate_system(m, -3, self.zeta0, 0.99, p)
+        assert repr(got) == repr(simulate_system_loop(m, -3, self.zeta0, 0.99, p))
+        assert got.max_ratio == 1.0 and got.within_bound
+        assert simulate_factors(repeat(0.5, -3), 1.0, 0.9) == DecayReport(1.0, None, None, False)
 
 
 class TestAnalyze:
@@ -418,3 +470,59 @@ class TestAnalyze:
         argv = ["stability", system] + [f"--{k}={v!r}" for k, v in dict(params, rho=rho).items()]
         assert main(argv) == 0
         assert '"lmi_feasible": true' in capsys.readouterr().out
+
+
+# reports with a non-finite field, and that field's printed value
+_NON_FINITE_REPORTS = [
+    ("t3 --kappa=100 --xi=5 --L=1 --eta=0.5 --rho=1e308", {"window": [None, 1.0]}),
+    ("t1 --L=1e-320 --rho=0.5 --eta=1.0", {"window": [None, None]}),
+    ("t2 --beta1=0.9 --sqrtvhat=1e300 --L=1e-10 --eta=1.0", {"window": [None, None]}),
+    ("t1 --L=10 --rho=0.5 --eta=1e308", {"factor": None, "spectral_radius": None}),
+    ("t2 --beta1=0.9 --sqrtvhat=1.0 --L=1.0 --eta=1e308 --rho=0.9",
+     {"spectral_radius": None, "discriminant": None}),
+]
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("args, fields", _NON_FINITE_REPORTS)
+def test_non_finite_report_fields_print_as_null(args, fields, capsys):
+    assert main(["stability", *args.split()]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out, parse_constant=_reject_constant)
+    assert {name: report[name] for name in fields} == fields
+
+
+def test_cli_prints_what_the_per_step_loops_print(monkeypatch, capsys):
+    rng = SeededRng(51)
+    argvs = [["stability", *args.split()] for args, _ in _NON_FINITE_REPORTS]
+    for _ in range(100):
+        for system in ("t1", "t2", "t3"):
+            params = _draw(system, rng)
+            argvs.append(["stability", system] + [f"--{k}={v!r}" for k, v in params.items()])
+
+    def outputs():
+        return [(main(argv), *capsys.readouterr()) for argv in argvs]
+
+    chunked = outputs()
+    monkeypatch.setattr(stability, "simulate_factors", simulate_factors_loop)
+    monkeypatch.setattr(stability, "simulate_system", simulate_system_loop)
+    assert outputs() == chunked
+
+
+@pytest.mark.parametrize("system, params", [
+    ("t1", {"L": 1.0, "rho": 0.999, "eta": 0.0}),  # factor 1: no rescaling, no overflow
+    ("t2", {"beta1": 0.999, "sqrtvhat": 1.0, "L": 1.0, "eta": 1.0}),  # radius 0.9995
+])
+def test_analysis_memory_does_not_grow_with_steps(system, params):
+    tracemalloc.start()
+    try:
+        report = analyze(system, steps=200_000, **params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not report["envelope"]["overflowed"]
+    assert peak < 1_000_000
