@@ -13,10 +13,9 @@ together into the report that ``pls-lab stability`` prints.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -284,22 +283,19 @@ class _Envelope:
     def observe_run(self, norms: np.ndarray) -> int | None:
         """Take the next states' norms as observe would, up to the first that
         needs rescaling; return how many were taken, or None on an overflow."""
-        taken = norms.size
-        if not (norms.max() <= _HUGE and norms.min() >= _TINY):  # also nan
-            stop = ~(norms <= _HUGE) | ((norms > 0.0) & (norms < _TINY))
-            taken = int(stop.argmax()) if stop.any() else taken
-            if taken < norms.size and not norms[taken] < _TINY:
-                return None
+        stop = ~(norms <= _HUGE) | ((norms > 0.0) & (norms < _TINY))  # also nan
+        taken = int(stop.argmax()) if stop.any() else norms.size
         pows = np.full(taken + 1, self.rho, np.float64)
         pows[0] = self.pow_rho
         np.multiply.accumulate(pows, out=pows)  # rho^t by the same products
         dens = pows[1:] * self.scale
         ratios = norms[:taken] / dens
-        if taken and not (self.rho > 0.0 and dens[-1] > 0.0):  # for rho > 0, 0 comes last
-            for i in np.flatnonzero(~(dens > 0.0)).tolist():  # the log path of _ratio
-                ratios[i] = self._ratio(norms[i], self.t + i + 1, dens[i])
+        for i in np.flatnonzero(~(dens > 0.0)).tolist():  # the log path of _ratio
+            ratios[i] = self._ratio(norms[i], self.t + i + 1, dens[i])
+        if taken < norms.size and not norms[taken] < _TINY:
+            return None
         self.t, self.pow_rho = self.t + taken, float(pows[-1])
-        self.max_ratio = float(ratios.max(initial=self.max_ratio))
+        self.max_ratio = float(np.fmax.reduce(ratios, initial=self.max_ratio))  # skips nan
         return taken
 
     def _ratio(self, norm: float, t: int, den: float) -> float:
@@ -314,54 +310,51 @@ class _Envelope:
             return math.inf
 
 
-def _simulate(env: _Envelope, z, inputs, chunk, step, norm) -> bool:
-    """Feed env the norms of z_t = step(input_t, z_{t-1}); False on an overflow.
-    ``chunk(z, inputs)`` makes many states and norms with the operations of
-    ``step`` and ``norm``, which go on from the first state to rescale."""
-    inputs = iter(inputs)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        while not env.shift and (part := list(islice(inputs, _CHUNK))):
-            states, norms = chunk(z, part)
-            taken = env.observe_run(norms)
-            if taken is None:
-                return False
-            if taken < len(part):  # go on from the state before that one
-                z, inputs = (states[taken - 1] if taken else z), chain(part[taken:], inputs)
-                break
-            z = states[-1]
-        for x in inputs:
-            z = step(x, z)
-            divisor = env.observe(norm(z))
-            if divisor is None:
-                return False
-            z /= divisor
-    return True
-
-
-def _scalar_chunk(z, factors):
-    traj = np.multiply.accumulate(np.fromiter(chain((z,), factors), np.float64))[1:]
-    return traj.tolist(), np.abs(traj)  # the states as floats, as step makes them
-
-
-def _matrix_chunk(z, matrices):
-    traj = np.empty((len(matrices), 2))
-    for a, row in zip(matrices, list(traj)):
-        z = a.dot(z, out=row)  # the dgemv of a @ z
-    sq = np.matmul(traj[:, None, :], traj[:, :, None]).ravel()  # the ddot of z.dot(z)
-    norms = np.sqrt(sq)
-    for i in np.flatnonzero(sq < _MIN_NORMAL).tolist():  # the rows _norm2 takes to hypot
-        norms[i] = _norm2(traj[i])
-    return traj, norms
-
-
 def simulate_factors(factors, z0: float, rho: float) -> DecayReport:
     """Iterate the scalar system z <- f_t * z and measure the envelope."""
     z = float(z0)
     if z == 0.0:
         return DecayReport(0.0, None, None, False)
     env = _Envelope(rho, abs(z))
-    overflowed = not _simulate(env, z, factors, _scalar_chunk, operator.mul, abs)
-    return DecayReport(math.inf if overflowed else env.max_ratio, None, None, overflowed)
+    for f in factors:
+        z *= f
+        divisor = env.observe(abs(z))
+        if divisor is None:
+            return DecayReport(math.inf, None, None, True)
+        if divisor != 1.0:
+            z /= divisor
+    return DecayReport(env.max_ratio, None, None, False)
+
+
+def _simulate_matrix(env: _Envelope, a: np.ndarray, z: np.ndarray, steps: int) -> bool:
+    """Feed env the norms of z_t = a z_{t-1}, t = 1..steps; False on an overflow.
+    Chunks of states take the dgemv of ``a @ z`` and the ddot of ``z.dot(z)``
+    and are observed in array passes; from the first state to rescale on, the
+    states are stepped and observed one at a time."""
+    done = 0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while done < steps:
+            traj, start = np.empty((min(_CHUNK, steps - done), 2)), z
+            for row in list(traj):
+                z = a.dot(z, out=row)
+            sq = np.matmul(traj[:, None, :], traj[:, :, None]).ravel()
+            norms = np.sqrt(sq)
+            for i in np.flatnonzero(sq < _MIN_NORMAL).tolist():  # _norm2's hypot rows
+                norms[i] = _norm2(traj[i])
+            taken = env.observe_run(norms)
+            if taken is None:
+                return False
+            done += taken
+            if taken < len(traj):  # go on from the state before that one
+                z = traj[taken - 1] if taken else start
+                break
+        for _ in range(steps - done):
+            z = a @ z
+            divisor = env.observe(_norm2(z))
+            if divisor is None:
+                return False
+            z /= divisor
+    return True
 
 
 def simulate_system(
@@ -378,7 +371,7 @@ def simulate_system(
     if scale == 0.0:
         return DecayReport(0.0, bound, True if bound is not None else None, False)
     env = _Envelope(rho, scale)
-    if not _simulate(env, z, repeat(m.as_array(), steps), _matrix_chunk, np.matmul, _norm2):
+    if not _simulate_matrix(env, m.as_array(), z, steps):
         return DecayReport(math.inf, bound, False if bound is not None else None, True)
     within = (env.max_ratio <= bound * (1.0 + 1e-9)) if bound is not None else None
     return DecayReport(env.max_ratio, bound, within, False)

@@ -327,6 +327,7 @@ def _factor_lists():
     yield [3.0] * 400, 0.9  # overflow
     yield [0.5, math.nan, 0.5], 0.9
     yield [0.5, 0.0, 0.5], 0.9
+    yield [0.5] * 100, math.nan  # every ratio is nan: the max stays 1
 
 
 def _first_state_below_tiny(next_state, z, steps):
@@ -358,6 +359,22 @@ class TestSimulationMatchesPerStepLoop:
                 want = repr(simulate_factors_loop(factors, z0, rho))
                 assert repr(simulate_factors(factors, z0, rho)) == want
                 assert repr(simulate_factors(iter(factors), z0, rho)) == want
+
+    @pytest.mark.parametrize("rho", [math.nan, math.inf, 0.0, -0.5])
+    @pytest.mark.parametrize("m", [Matrix2(0.5, 0.1, 0.0, 0.5), Matrix2(1e100, 0.0, 0.0, 1e100)])
+    def test_rates_outside_the_unit_interval(self, m, rho):
+        # nan ratios leave the max at 1, as observe skips them; rho <= 0 sends
+        # the first ratio down _ratio's log path, which raises before an overflow
+        for steps in (1, 100, _CHUNK + 1):
+            try:
+                want = repr(simulate_system_loop(m, steps, self.zeta0, rho))
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=str(exc)):
+                    simulate_system(m, steps, self.zeta0, rho)
+            else:
+                assert repr(simulate_system(m, steps, self.zeta0, rho)) == want
+        nan_report = simulate_system(Matrix2(0.5, 0.1, 0.0, 0.5), 100, self.zeta0, math.nan)
+        assert nan_report.max_ratio == 1.0
 
     @pytest.mark.parametrize("diagonal, rho", [(0.2, 0.1), (0.01, 0.5)])
     def test_rescale_from_mid_chunk(self, diagonal, rho):
