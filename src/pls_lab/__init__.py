@@ -36,10 +36,6 @@ from .problems import (
     glorot_init,
 )
 from .rng import SeededRng
-from .smoothness import (
-    SmoothnessEstimator,
-    SmoothnessReading,
-    adaptive_rate,
-)
+from .smoothness import SmoothnessEstimator
 
 __version__ = "0.1.0"

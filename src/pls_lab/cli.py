@@ -79,7 +79,7 @@ def _cmd_grid(args) -> int:
 
 def _cmd_gradcheck(args) -> int:
     cfg = _load_config(args)
-    report = gradcheck_report(cfg, n_points=args.points, seed=args.seed)
+    report = gradcheck_report(cfg, n_points=args.points)
     print(json.dumps({"max_rel_error": report["max_rel_error"],
                       "points": report["points"],
                       "passed": report["passed"]}, indent=2))

@@ -25,7 +25,6 @@ class Dataset:
     train_labels: np.ndarray | None
     test_inputs: np.ndarray | None = None
     test_labels: np.ndarray | None = None
-    image_shape: tuple[int, int] | None = None
     num_classes: int | None = None
 
     def __post_init__(self):
@@ -73,9 +72,9 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     return out
 
 
-def _flatten_images(raw: np.ndarray) -> tuple[np.ndarray, tuple[int, int]]:
+def _flatten_images(raw: np.ndarray) -> np.ndarray:
     n, rows, cols = raw.shape
-    return raw.reshape(n, rows * cols).astype(np.float64) / 255.0, (rows, cols)
+    return raw.reshape(n, rows * cols).astype(np.float64) / 255.0
 
 
 def from_idx(
@@ -86,13 +85,13 @@ def from_idx(
     num_classes: int = 10,
 ) -> Dataset:
     """Load a dataset from IDX files; labels are optional (reconstruction)."""
-    train_inputs, image_shape = _flatten_images(load_idx(images_path))
+    train_inputs = _flatten_images(load_idx(images_path))
     train_labels = None
     if labels_path is not None:
         train_labels = load_idx(labels_path).astype(np.int64)
     test_inputs = test_labels = None
     if test_images_path is not None:
-        test_inputs, _ = _flatten_images(load_idx(test_images_path))
+        test_inputs = _flatten_images(load_idx(test_images_path))
         if test_labels_path is not None:
             test_labels = load_idx(test_labels_path).astype(np.int64)
     return Dataset(
@@ -100,7 +99,6 @@ def from_idx(
         train_labels,
         test_inputs,
         test_labels,
-        image_shape,
         num_classes if train_labels is not None else None,
     )
 
@@ -117,7 +115,6 @@ def subset(dataset: Dataset, limit: int, rng: SeededRng) -> Dataset:
         None if dataset.train_labels is None else dataset.train_labels[order],
         dataset.test_inputs,
         dataset.test_labels,
-        dataset.image_shape,
         dataset.num_classes,
     )
 

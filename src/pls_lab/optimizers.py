@@ -209,15 +209,11 @@ class PlsRate:
                 "explicit experimental mode)"
             )
         self.groups = list(groups)
-        self.eta0 = float(eta0)
         self.estimators = [SmoothnessEstimator(eps1, eps2, eta0, decay) for _ in self.groups]
 
     def rates(self, t, x, g):
-        out = []
-        for (lo, hi), est in zip(self.groups, self.estimators):
-            reading = est.predict(x[lo:hi], g[lo:hi])
-            out.append((reading.eta, reading.l_hat))
-        return out
+        return [est.predict(x[lo:hi], g[lo:hi])
+                for (lo, hi), est in zip(self.groups, self.estimators)]
 
 
 @dataclass

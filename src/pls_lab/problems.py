@@ -20,6 +20,8 @@ import numpy as np
 from .linalg import BLOCK, blocks
 from .rng import SeededRng
 
+FD_STEP = 1e-6  # finite_diff_grad's step, relative to max(1, |x_i|)
+
 
 def _check_batch(batch: Sequence[int], n: int) -> np.ndarray:
     idx = np.asarray(batch, dtype=np.int64)
@@ -85,21 +87,19 @@ class QuadraticProblem:
         return self.value(x, np.arange(self.n))
 
 
-def layer_layout(layer_sizes: Sequence[int]) -> tuple[list[tuple[int, int, int, int]], int]:
-    """Flat-vector offsets for (weights, biases) of each layer.
+def layer_layout(layer_sizes: Sequence[int]) -> tuple[list[tuple[int, int, int]], int]:
+    """Flat-vector offsets of each layer's weights and biases.
 
-    Returns ([(w_start, w_end, b_start, b_end), ...], total_dim). Weights
-    of layer l are stored row-major with shape (n_in, n_out), followed by
-    the n_out biases.
+    Returns ([(start, split, end), ...], total_dim): the weights of layer l
+    fill [start, split), row-major with shape (n_in, n_out), and its n_out
+    biases fill [split, end).
     """
     spans = []
     pos = 0
     for n_in, n_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-        w_start = pos
-        pos += n_in * n_out
-        b_start = pos
-        pos += n_out
-        spans.append((w_start, b_start, b_start, pos))
+        split = pos + n_in * n_out
+        spans.append((pos, split, split + n_out))
+        pos = split + n_out
     return spans, pos
 
 
@@ -136,19 +136,19 @@ class MlpLsrProblem:
         self.n = inputs.shape[0]
         self._spans, self.d = layer_layout(layer_sizes)
         # one parameter group per layer: its weights plus its biases
-        self.layer_partition = [(w0, b1) for (w0, _, _, b1) in self._spans]
+        self.layer_partition = [(start, end) for (start, _, end) in self._spans]
         # the weight decay term l2 * W is added blockwise through one workspace
-        sizes = [w1 - w0 for (w0, w1, _, _) in self._spans]
+        sizes = [split - start for (start, split, _) in self._spans]
         work = np.empty(min(max(sizes), BLOCK))
         self._weight_blocks = [blocks(n, work) for n in sizes]
 
     def unpack(self, x: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """Views of the flat vector as per-layer (W, b); no copies."""
         out = []
-        for (w0, w1, b0, b1), n_in, n_out in zip(
+        for (start, split, end), n_in, n_out in zip(
             self._spans, self.layer_sizes[:-1], self.layer_sizes[1:]
         ):
-            out.append((x[w0:w1].reshape(n_in, n_out), x[b0:b1]))
+            out.append((x[start:split].reshape(n_in, n_out), x[split:end]))
         return out
 
     def _forward(self, x: np.ndarray, idx: np.ndarray):
@@ -218,9 +218,9 @@ def glorot_init(layer_sizes: Sequence[int], rng: SeededRng) -> np.ndarray:
     """
     spans, dim = layer_layout(layer_sizes)
     x = np.zeros(dim)
-    for (w0, w1, _, _), n_in, n_out in zip(spans, layer_sizes[:-1], layer_sizes[1:]):
+    for (start, split, _), n_in, n_out in zip(spans, layer_sizes[:-1], layer_sizes[1:]):
         bound = np.sqrt(6.0 / (n_in + n_out))
-        x[w0:w1] = rng.uniform_array(n_in * n_out, -bound, bound)
+        x[start:split] = rng.uniform_array(n_in * n_out, -bound, bound)
     return x
 
 
@@ -228,22 +228,19 @@ def finite_diff_grad(
     obj: QuadraticProblem | MlpLsrProblem,
     x: np.ndarray,
     batch: Sequence[int],
-    h: float = 1e-6,
     coords: Sequence[int] | None = None,
 ) -> np.ndarray:
     """Central-difference gradient oracle, independent of any backprop path.
 
-    The step for coordinate i is ``h * max(1, |x_i|)``. ``coords`` limits
-    the check to a subset of coordinates (essential for large parameter
+    Coordinate i steps by ``FD_STEP * max(1, |x_i|)``. ``coords`` limits the
+    check to a subset of coordinates (essential for large parameter
     vectors); the result then has one entry per requested coordinate.
     """
-    if h <= 0.0:
-        raise ValueError("step size must be positive")
     idx = np.arange(x.size) if coords is None else np.asarray(coords, dtype=np.int64)
     out = np.empty(idx.size)
     xp = x.copy()
     for k, i in enumerate(idx):
-        hi = h * max(1.0, abs(x[i]))
+        hi = FD_STEP * max(1.0, abs(x[i]))
         xp[i] = x[i] + hi
         f_plus = obj.value(xp, batch)
         xp[i] = x[i] - hi

@@ -13,7 +13,6 @@ data, 3 shuffles for subset selection.
 from __future__ import annotations
 
 import json
-import math
 import os
 import pickle
 import subprocess
@@ -29,12 +28,14 @@ from .errors import ConfigError
 from .optimizers import WHOLE, FixedDecayRate, FixedRate, PlsRate, TrainRecord, run_optimizer
 from .problems import MlpLsrProblem, QuadraticProblem, finite_diff_grad, glorot_init
 from .rng import SeededRng
+from .stability import finite_or_none
 
 INIT_STREAM = 0
 PROBLEM_STREAM = 2
 SHUFFLE_STREAM = 3
 
 GRADCHECK_GATE = 1e-4
+GRADCHECK_COORDS = 20  # coordinates checked per point above 2000 parameters
 
 
 def build_problem(cfg: ExperimentConfig):
@@ -121,12 +122,6 @@ def write_records_csv(path, records: list[TrainRecord], n_groups: int) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _json_safe(v):
-    if isinstance(v, float) and not math.isfinite(v):
-        return None
-    return v
-
-
 def execute(cfg: ExperimentConfig, out_dir) -> dict:
     """Run one experiment; write records.csv and summary.json under out_dir."""
     out_dir = Path(out_dir)
@@ -166,23 +161,21 @@ def execute(cfg: ExperimentConfig, out_dir) -> dict:
             final_test = last.test_loss
         elif test_fn is not None:
             final_test = float(test_fn(result.x_final))
-    summary = {
+    summary = finite_or_none({
         "config": cfg.to_dict(),
         "diverged": result.diverged,
         "divergence_step": result.diverged_at,
         "steps_completed": last.iter,
-        "final_train_loss": _json_safe(final_train),
-        "final_train_loss_raw": _json_safe(final_raw),
-        "final_test_loss": _json_safe(final_test),
+        "final_train_loss": final_train,
+        "final_train_loss_raw": final_raw,
+        "final_test_loss": final_test,
         "final_rates": list(last.etas) if last.etas is not None else None,
-        "final_smoothness": (
-            [_json_safe(l) for l in last.l_hats] if last.l_hats is not None else None
-        ),
+        "final_smoothness": list(last.l_hats) if last.l_hats is not None else None,
         "wall_ms_total": result.wall_ms,
         "records_csv": "records.csv",
-    }
+    })
     with open(out_dir / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return summary
 
@@ -258,21 +251,16 @@ def run_grid(config_paths, out_root, workers: int = 1) -> list[dict]:
         return [f.result() for f in futures]
 
 
-def gradcheck_report(
-    cfg: ExperimentConfig,
-    n_points: int = 20,
-    coords_per_point: int = 20,
-    seed: int | None = None,
-) -> dict:
+def gradcheck_report(cfg: ExperimentConfig, n_points: int = 20) -> dict:
     """Compare analytic gradients against the central-difference oracle.
 
-    At each random point the checked coordinates are sampled among those
-    whose analytic derivative is not vanishingly small relative to the
-    largest one (central differences cannot resolve near-zero derivatives
-    in relative terms). Small problems check every coordinate.
+    At each random point GRADCHECK_COORDS coordinates are sampled among
+    those whose analytic derivative is not vanishingly small relative to
+    the largest one (central differences cannot resolve near-zero
+    derivatives in relative terms). Small problems check every coordinate.
     """
     problem, x0, _ = build_problem(cfg)
-    rng = SeededRng(cfg.seed if seed is None else seed).spawn(17)
+    rng = SeededRng(cfg.seed).spawn(17)
     batch_size = min(cfg.batch_size, problem.n)
     worst = 0.0
     point_errors = []
@@ -288,7 +276,7 @@ def gradcheck_report(
         else:
             magnitude_floor = 1e-3 * np.abs(ga).max()
             eligible = np.flatnonzero(np.abs(ga) >= magnitude_floor)
-            pick = rng.index_array(coords_per_point, eligible.size)
+            pick = rng.index_array(GRADCHECK_COORDS, eligible.size)
             coords = eligible[pick]
         gn = finite_diff_grad(problem, x, batch, coords=coords)
         num = float(np.linalg.norm(ga[coords] - gn))

@@ -13,7 +13,6 @@ eta0/eps2 when the predicted smoothness collapses to zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,45 +23,16 @@ DECAY_MODES = ("constant", "sqrt_t")
 _BAD_GRADIENT = "non-finite gradient in smoothness update"
 
 
-def adaptive_rate(
-    l_hat: float,
-    eta0: float,
-    eps2: float,
-    decay: str = "constant",
-    t: int = 1,
-) -> float:
-    """Step size for a predicted smoothness value; at most eta0/eps2."""
-    if l_hat < 0.0:
-        raise ValueError("predicted smoothness must be non-negative")
-    if eps2 <= 0.0:
-        raise ValueError("eps2 must be positive")
-    if decay not in DECAY_MODES:
-        raise ValueError(f"decay must be one of {DECAY_MODES}")
-    eta = eta0 / (l_hat + eps2)
-    if decay == "sqrt_t":
-        eta /= math.sqrt(t)
-    return eta
-
-
-@dataclass
-class SmoothnessReading:
-    """One prediction: smoothness estimate and the step size derived from it."""
-
-    l_hat: float
-    eta: float
-
-
 class SmoothnessEstimator:
-    """Single-owner per-group state producing one reading per update.
+    """Single-owner per-group state producing one (eta, l_hat) pair per update.
 
     The first call has no history to difference, so it records the state
-    and returns a bootstrap reading with l_hat = 0 and eta = eta0 (not
-    eta0/eps2, which could be orders of magnitude larger before any
-    smoothness information exists).
+    and returns the bootstrap pair (eta0, 0.0), not eta0/eps2, which could
+    be orders of magnitude larger before any smoothness information exists.
 
-    Later calls difference in place in the history buffers, so a reading
-    allocates nothing the size of the group; a DivergenceError leaves the
-    history spent.
+    Later calls difference in place in the history buffers, so a
+    prediction allocates nothing the size of the group; a DivergenceError
+    leaves the history spent.
     """
 
     def __init__(
@@ -84,8 +54,9 @@ class SmoothnessEstimator:
         self.prev_x: np.ndarray | None = None
         self.prev_g: np.ndarray | None = None
 
-    def predict(self, x: np.ndarray, g: np.ndarray) -> SmoothnessReading:
-        """Predict smoothness at (x, g); stores them for the next call."""
+    def predict(self, x: np.ndarray, g: np.ndarray) -> tuple[float, float]:
+        """(eta, l_hat) at (x, g): the step size by the module's rule and the
+        predicted smoothness; stores (x, g) for the next call."""
         if x.shape != g.shape:
             raise ValueError("iterate and gradient must have the same shape")
         if self.prev_x is None:
@@ -94,7 +65,7 @@ class SmoothnessEstimator:
             self.t += 1
             self.prev_x = np.array(x, dtype=np.float64)
             self.prev_g = np.array(g, dtype=np.float64)
-            return SmoothnessReading(0.0, self.eta0)
+            return self.eta0, 0.0
         if x.shape != self.prev_x.shape:
             raise ValueError("dimension changed between updates")
         # prev - new is the negated difference: the same squares, so the
@@ -114,5 +85,7 @@ class SmoothnessEstimator:
         l_hat = g_diff / (x_diff + self.eps1)
         np.copyto(self.prev_x, x)
         np.copyto(self.prev_g, g)
-        eta = adaptive_rate(l_hat, self.eta0, self.eps2, self.decay, self.t)
-        return SmoothnessReading(l_hat, eta)
+        eta = self.eta0 / (l_hat + self.eps2)
+        if self.decay == "sqrt_t":
+            eta /= math.sqrt(self.t)
+        return eta, l_hat

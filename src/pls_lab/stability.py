@@ -414,8 +414,13 @@ def analyze(
     a ``steps``-step simulation. ``stable`` is the window verdict (for t3,
     the nominal-pair verdict of ``accsgd_stability``), which can differ
     from contraction. Invalid parameters raise ValueError or PlsLabError,
-    as does an unknown ``system``.
+    as does an unknown ``system``; a non-finite parameter other than rho
+    is refused first, and rho where the system checks its range.
     """
+    for name, value in (("L", L), ("eta", eta), ("beta1", beta1), ("sqrtvhat", sqrtvhat),
+                        ("kappa", kappa), ("xi", xi)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
     if system == "t1":
         window = sgd_rate_window(L, rho)
         factor = sgd_factor(eta, L)
@@ -470,13 +475,13 @@ def analyze(
         raise ValueError("steps must be non-negative")
     report["stable"] = stable
     report["envelope"] = {"steps": steps, **vars(sim)}
-    return _finite_or_none(report)
+    return finite_or_none(report)
 
 
-def _finite_or_none(value):
+def finite_or_none(value):
     """``value`` with None for each non-finite float in it: strict JSON."""
     if isinstance(value, float):
         return value if math.isfinite(value) else None
     if isinstance(value, list):
-        return [_finite_or_none(v) for v in value]
-    return {k: _finite_or_none(v) for k, v in value.items()} if isinstance(value, dict) else value
+        return [finite_or_none(v) for v in value]
+    return {k: finite_or_none(v) for k, v in value.items()} if isinstance(value, dict) else value

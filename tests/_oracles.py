@@ -6,6 +6,7 @@ simulations its earlier per-step loops; the library's blocked, in-place
 and chunked versions must match them bit for bit.
 """
 
+import json
 import math
 import sys
 
@@ -15,7 +16,7 @@ from pls_lab.errors import DivergenceError
 from pls_lab.linalg import cond2
 from pls_lab.optimizers import VHAT_FLOOR, run_optimizer
 from pls_lab.rng import SeededRng
-from pls_lab.smoothness import SmoothnessEstimator, SmoothnessReading, adaptive_rate
+from pls_lab.smoothness import SmoothnessEstimator
 from pls_lab.stability import DecayReport, _Envelope
 
 
@@ -27,6 +28,15 @@ def l2_norm(v: np.ndarray) -> float:
     if not np.all(np.isfinite(v)):
         raise DivergenceError("non-finite entry in vector")
     return float(np.sqrt(np.dot(v, v)))
+
+
+def strict_json(text: str):
+    """json.loads that refuses NaN and Infinity, as strict JSON parsers do."""
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def base_rate_admissible(eta0: float, rho: float) -> bool:
@@ -86,14 +96,16 @@ class ReferenceEstimator(SmoothnessEstimator):
         if self.prev_x is None:
             self.prev_x = x.copy()
             self.prev_g = g.copy()
-            return SmoothnessReading(0.0, self.eta0)
+            return self.eta0, 0.0
         g_diff = l2_norm(g - self.prev_g)
         x_diff = l2_norm(x - self.prev_x)
         l_hat = g_diff / (x_diff + self.eps1)
         self.prev_x = x.copy()
         self.prev_g = g.copy()
-        eta = adaptive_rate(l_hat, self.eta0, self.eps2, self.decay, self.t)
-        return SmoothnessReading(l_hat, eta)
+        eta = self.eta0 / (l_hat + self.eps2)
+        if self.decay == "sqrt_t":
+            eta /= math.sqrt(self.t)
+        return eta, l_hat
 
 
 def run_with_iterates(obj, algorithm, rate_source, **kwargs):

@@ -19,7 +19,6 @@ from pls_lab.optimizers import (
 )
 from pls_lab.problems import QuadraticProblem
 from pls_lab.rng import SeededRng
-from pls_lab.smoothness import SmoothnessReading, adaptive_rate
 
 from _oracles import accsgd_step, amsgrad_step
 
@@ -233,7 +232,7 @@ class TestRateSources:
         with pytest.raises(ValueError):
             PlsRate([(0, 2)], -0.001, 0.01, 0.01)
         src = PlsRate([(0, 2)], -0.001, 0.01, 0.01, allow_negative_eta0=True)
-        assert src.eta0 == -0.001
+        assert [est.eta0 for est in src.estimators] == [-0.001]
 
     def test_pls_per_group_readings(self):
         src = PlsRate([(0, 2), (2, 4)], 0.01, 1e-8, 1e-8)
@@ -276,16 +275,16 @@ class TestRunOptimizer:
 
     def test_adaptive_with_pinned_smoothness_equals_fixed_rate(self):
         # the adaptive source is purely a step-size rule: pinning its
-        # smoothness reading must reproduce the fixed-rate run bit for bit
+        # smoothness prediction must reproduce the fixed-rate run bit for bit
         prob = isotropic_quadratic(curvature=2.0)
         l0, eta0, eps2 = 3.0, 0.002, 0.01
         eta_fixed = eta0 / (l0 + eps2)
-        reading = SmoothnessReading(l0, adaptive_rate(l0, eta0, eps2))
+        pair = (eta_fixed, l0)
         kw = dict(steps=40, seed=4, x0=np.ones(prob.d), batch_size=4)
         for algo in ("sgd", "amsgrad", "accsgd"):
             pinned = PlsRate(prob.layer_partition, eta0, 0.01, eps2)
             for est in pinned.estimators:
-                est.predict = lambda x, g: reading
+                est.predict = lambda x, g: pair
             ra = run_optimizer(prob, algo, pinned, **kw)
             rb = run_optimizer(prob, algo, FixedRate(eta_fixed), **kw)
             npt.assert_array_equal(ra.x_final, rb.x_final)
@@ -302,7 +301,7 @@ class TestRunOptimizer:
         for algo in ("sgd", "amsgrad", "accsgd"):
             grouped = PlsRate([(0, 2), (2, 4)], 0.01, 0.01, 0.01)
             for est, eta in zip(grouped.estimators, (e1, e2)):
-                est.predict = lambda x, g, r=SmoothnessReading(1.0, eta): r
+                est.predict = lambda x, g, r=(eta, 1.0): r
             rg = run_optimizer(prob, algo, grouped, **kw)
             r1 = run_optimizer(prob, algo, FixedRate(e1), **kw)
             r2 = run_optimizer(prob, algo, FixedRate(e2), **kw)

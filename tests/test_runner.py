@@ -17,6 +17,7 @@ from pls_lab.errors import ConfigError, IdxFormatError
 from pls_lab.problems import MlpLsrProblem, QuadraticProblem
 from pls_lab.runner import build_problem, execute, execute_config, gradcheck_report, run_grid
 
+from _oracles import strict_json
 from conftest import mlp_classification_config
 
 
@@ -101,6 +102,19 @@ class TestExecute:
         echoed = ExperimentConfig.from_dict(on_disk["config"])
         assert echoed.to_dict() == on_disk["config"]
         assert summary["final_train_loss"] == on_disk["final_train_loss"]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_summary_is_strict_json(self, tmp_path):
+        # an overflowing loss and an infinite step size are written as null
+        huge_x0 = quadratic_pls_config(steps=0)
+        huge_x0["problem"]["x0_scale"] = 1e300
+        tiny_eps2 = quadratic_pls_config(steps=20, eta0=1.0)
+        tiny_eps2["rate"]["eps2"] = 1e-320
+        for name, cfg_dict, field in (("x0", huge_x0, "final_train_loss"),
+                                      ("eps2", tiny_eps2, "final_rates")):
+            execute_config(cfg_dict, tmp_path / name)
+            summary = strict_json((tmp_path / name / "summary.json").read_text())
+            assert summary[field] in (None, [None])
 
     def test_divergent_run_flagged_rows_truncated(self, tmp_path):
         cfg_dict = quadratic_pls_config(steps=100, curvature=4.0)
@@ -446,6 +460,14 @@ class TestCli:
           "--rho", "inf"], "rho must be finite"),
         (["t1", "--L", "1", "--rho", "0.5", "--eta", "0.1", "--steps", "-3"],
          "steps must be non-negative"),
+        (["t1", "--L", "1", "--rho", "0.5", "--eta", "nan"], "eta must be finite"),
+        (["t1", "--L", "1", "--rho", "0.5", "--eta", "inf"], "eta must be finite"),
+        (["t1", "--L", "nan", "--rho", "0.5", "--eta", "0.1"], "L must be finite"),
+        (["t1", "--L", "inf", "--rho", "0.5", "--eta", "0.1"], "L must be finite"),
+        (["t2", "--beta1", "0.9", "--sqrtvhat", "0.1", "--L", "nan", "--eta", "0.05"],
+         "L must be finite"),
+        (["t2", "--beta1", "0.9", "--sqrtvhat", "inf", "--L", "1", "--eta", "0.05"],
+         "sqrtvhat must be finite"),
     ])
     def test_stability_rejects_non_finite_rho_and_negative_steps(self, argv, message,
                                                                  capsys):
@@ -501,6 +523,28 @@ class TestCli:
         assert main(["gradcheck", "--config", str(cfg_path), "--points", "3"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["passed"]
+
+    def test_gradcheck_seed_precedence(self, tmp_path, capsys, monkeypatch):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(quadratic_pls_config(steps=0, seed=1)))
+        seeds = []
+
+        def spy(cfg, **kwargs):
+            seeds.append(cfg.seed)
+            return gradcheck_report(cfg, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "gradcheck_report", spy)
+        argv = ["gradcheck", "--config", str(cfg_path), "--points", "2"]
+        monkeypatch.setenv("PLS_LAB_SEED", "7")
+        assert main(argv) == 0
+        assert main([*argv, "--seed", "9"]) == 0
+        monkeypatch.delenv("PLS_LAB_SEED")
+        assert main(argv) == 0
+        assert seeds == [7, 9, 1]
+        cfg = ExperimentConfig.load(cfg_path)  # the seed picks the checked points
+        errors_at_1 = gradcheck_report(cfg, n_points=2)["point_errors"]
+        cfg.seed = 9
+        assert gradcheck_report(cfg, n_points=2)["point_errors"] != errors_at_1
 
     def test_gradcheck_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         import pls_lab.cli as cli_mod

@@ -7,7 +7,7 @@ import pytest
 from pls_lab.errors import DivergenceError
 from pls_lab.rng import SeededRng
 from pls_lab.linalg import BLOCK
-from pls_lab.smoothness import SmoothnessEstimator, adaptive_rate
+from pls_lab.smoothness import SmoothnessEstimator
 from pls_lab.stability import sgd_rate_window
 
 from _oracles import ReferenceEstimator, base_rate_admissible
@@ -18,31 +18,29 @@ TINY = 1e-300  # effectively-zero denominator guard for exact-ratio checks
 class TestPredict:
     def test_bootstrap_reading(self):
         est = SmoothnessEstimator(0.01, 0.01, eta0=0.5)
-        r = est.predict(np.array([1.0, 2.0]), np.array([0.1, 0.2]))
-        assert r.l_hat == 0.0
-        assert r.eta == 0.5
+        assert est.predict(np.array([1.0, 2.0]), np.array([0.1, 0.2])) == (0.5, 0.0)
         assert est.t == 1
 
     def test_norm_ratio(self):
         est = SmoothnessEstimator(TINY, 0.01, eta0=1.0)
         est.predict(np.array([0.0, 0.0]), np.array([0.0, 0.0]))
-        r = est.predict(np.array([1.0, 0.0]), np.array([3.0, 4.0]))
-        npt.assert_allclose(r.l_hat, 5.0, rtol=1e-15)
+        _, l_hat = est.predict(np.array([1.0, 0.0]), np.array([3.0, 4.0]))
+        npt.assert_allclose(l_hat, 5.0, rtol=1e-15)
 
     def test_stationary_point_reads_zero(self):
         est = SmoothnessEstimator(0.01, 0.01, eta0=0.001)
         x, g = np.array([1.0, -1.0]), np.array([0.5, 0.5])
         est.predict(x, g)
-        r = est.predict(x.copy(), g.copy())
-        assert r.l_hat == 0.0
-        npt.assert_allclose(r.eta, 0.001 / 0.01)  # the eta0/eps2 cap
+        eta, l_hat = est.predict(x.copy(), g.copy())
+        assert l_hat == 0.0
+        npt.assert_allclose(eta, 0.001 / 0.01)  # the eta0/eps2 cap
 
     def test_scalar_quadratic_two_steps(self):
         # curvature 2: gradients 2x; move 1 -> 0.9
         est = SmoothnessEstimator(1e-8, 0.01, eta0=1.0)
         est.predict(np.array([1.0]), np.array([2.0]))
-        r = est.predict(np.array([0.9]), np.array([1.8]))
-        npt.assert_allclose(r.l_hat, 2.0, atol=1e-6)
+        _, l_hat = est.predict(np.array([0.9]), np.array([1.8]))
+        npt.assert_allclose(l_hat, 2.0, atol=1e-6)
 
     def test_exact_ratio_against_curvature(self):
         # after the bootstrap, |l_hat - c*r/(r + eps1)| stays at float noise
@@ -52,9 +50,9 @@ class TestPredict:
         x_prev = rng.uniform_array(4, -1, 1)
         est.predict(x_prev, c * x_prev)
         x = rng.uniform_array(4, -1, 1)
-        r = est.predict(x, c * x)
+        _, l_hat = est.predict(x, c * x)
         dist = float(np.linalg.norm(x - x_prev))
-        npt.assert_allclose(r.l_hat, c * dist / (dist + eps1), atol=1e-12)
+        npt.assert_allclose(l_hat, c * dist / (dist + eps1), atol=1e-12)
 
     def test_scale_covariance(self):
         def run(scale):
@@ -62,7 +60,7 @@ class TestPredict:
             est.predict(scale * np.array([0.0, 1.0]), scale * np.array([1.0, 1.0]))
             return est.predict(
                 scale * np.array([0.5, 0.2]), scale * np.array([-1.0, 2.0])
-            ).l_hat
+            )[1]
 
         npt.assert_allclose(run(1.0), run(7.25), rtol=1e-12)
 
@@ -124,11 +122,10 @@ class TestPredict:
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_sum_of_finite_squares(self):
         # every entry of the difference is finite, its sum of squares is not:
-        # the reading is l_hat = inf with a zero step, as in the reference
+        # the prediction is l_hat = inf with a zero step, as in the reference
         for est in (SmoothnessEstimator(0.01, 0.01, 1.0), ReferenceEstimator(0.01, 0.01, 1.0)):
             est.predict(np.zeros(2), np.zeros(2))
-            r = est.predict(np.ones(2), np.full(2, 1e200))
-            assert r.l_hat == math.inf and r.eta == 0.0
+            assert est.predict(np.ones(2), np.full(2, 1e200)) == (0.0, math.inf)
 
     def test_guards_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -137,18 +134,31 @@ class TestPredict:
             SmoothnessEstimator(0.01, 0.0, eta0=1.0)
 
 
+def rate_at(l_hat, eta0, eps2, decay="constant", t=2):
+    """The step size of an estimator whose t-th prediction reads l_hat: the
+    iterate moves by 1 each call and the gradient by l_hat on the last."""
+    est = SmoothnessEstimator(TINY, eps2, eta0, decay)
+    for k in range(t - 1):
+        est.predict(np.array([float(k)]), np.array([0.0]))
+    eta, got = est.predict(np.array([float(t - 1)]), np.array([l_hat]))
+    npt.assert_allclose(got, l_hat, rtol=1e-15)
+    return eta
+
+
 class TestAdaptiveRate:
+    """The rule eta0 / (l_hat + eps2), damped by 1/sqrt(t) under sqrt_t."""
+
     def test_zero_smoothness_hits_cap(self):
-        npt.assert_allclose(adaptive_rate(0.0, 0.001, 0.01), 0.1)
+        npt.assert_allclose(rate_at(0.0, 0.001, 0.01), 0.1)
 
     def test_plain_ratio(self):
-        npt.assert_allclose(adaptive_rate(1.99, 0.001, 0.01), 0.0005)
+        npt.assert_allclose(rate_at(1.99, 0.001, 0.01), 0.0005)
 
     def test_sqrt_decay(self):
-        npt.assert_allclose(adaptive_rate(0.9, 0.01, 0.1, decay="sqrt_t", t=4), 0.005)
+        npt.assert_allclose(rate_at(0.9, 0.01, 0.1, decay="sqrt_t", t=4), 0.005)
 
     def test_monotone_nonincreasing_in_smoothness(self):
-        rates = [adaptive_rate(l, 0.01, 0.05) for l in np.linspace(0.0, 100.0, 200)]
+        rates = [rate_at(l, 0.01, 0.05) for l in np.linspace(0.0, 100.0, 200)]
         assert all(a >= b for a, b in zip(rates, rates[1:]))
 
     def test_never_exceeds_cap(self):
@@ -157,15 +167,21 @@ class TestAdaptiveRate:
             l_hat = rng.uniform(0.0, 50.0)
             eta0 = rng.uniform(1e-4, 1.0)
             eps2 = rng.uniform(1e-3, 1.0)
-            assert adaptive_rate(l_hat, eta0, eps2) <= eta0 / eps2 + 1e-15
+            assert rate_at(l_hat, eta0, eps2) <= eta0 / eps2 + 1e-15
 
     def test_negative_smoothness_rejected(self):
+        # a ratio of norms: differences of either sign predict l_hat >= 0,
+        # and a negative guard, the other way to a denominator below l_hat,
+        # is refused
+        est = SmoothnessEstimator(TINY, 0.01, eta0=1.0)
+        est.predict(np.array([1.0, -1.0]), np.array([2.0, 3.0]))
+        assert est.predict(np.array([-1.0, 1.0]), np.array([-2.0, -3.0]))[1] >= 0.0
         with pytest.raises(ValueError):
-            adaptive_rate(-1.0, 0.01, 0.01)
+            SmoothnessEstimator(0.01, -0.01, eta0=1.0)
 
     def test_unknown_decay_rejected(self):
         with pytest.raises(ValueError):
-            adaptive_rate(1.0, 0.01, 0.01, decay="linear")
+            SmoothnessEstimator(0.01, 0.01, eta0=1.0, decay="linear")
 
 
 class TestBaseRateWindow:

@@ -7,7 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from _oracles import simulate_factors_loop, simulate_system_loop
+from _oracles import simulate_factors_loop, simulate_system_loop, strict_json
 from pls_lab import stability
 from pls_lab.cli import main
 from pls_lab.linalg import Matrix2, eig2x2, spectral_radius2
@@ -500,16 +500,12 @@ _NON_FINITE_REPORTS = [
 ]
 
 
-def _reject_constant(name):
-    raise ValueError(f"{name} is not JSON")
-
-
 @pytest.mark.parametrize("args, fields", _NON_FINITE_REPORTS)
 def test_non_finite_report_fields_print_as_null(args, fields, capsys):
     assert main(["stability", *args.split()]) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
-    report = json.loads(captured.out, parse_constant=_reject_constant)
+    report = strict_json(captured.out)
     assert {name: report[name] for name in fields} == fields
 
 
