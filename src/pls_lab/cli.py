@@ -55,8 +55,8 @@ def _apply_seed_override(cfg: ExperimentConfig, flag_seed: int | None) -> Experi
 
 def _load_config(args) -> ExperimentConfig:
     cfg = ExperimentConfig.load(args.config)
-    if getattr(args, "limit", None) is not None:
-        cfg.limit = args.limit
+    if getattr(args, "limit", None) is not None:  # checked as the file's key is
+        cfg = ExperimentConfig.from_dict(dict(cfg.to_dict(), limit=args.limit))
     return _apply_seed_override(cfg, args.seed)
 
 
@@ -79,7 +79,11 @@ def _cmd_grid(args) -> int:
 
 def _cmd_gradcheck(args) -> int:
     cfg = _load_config(args)
-    report = gradcheck_report(cfg, n_points=args.points)
+    try:
+        report = gradcheck_report(cfg, n_points=args.points)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(json.dumps({"max_rel_error": report["max_rel_error"],
                       "points": report["points"],
                       "passed": report["passed"]}, indent=2))

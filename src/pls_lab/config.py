@@ -215,10 +215,6 @@ class MlpSpec:
     def to_dict(self) -> dict:
         return {k: v for k, v in _echo(self, self._keys(self.kind)).items() if v is not None}
 
-    @property
-    def task(self) -> str:
-        return "classification" if self.kind == "mlp-classification" else "reconstruction"
-
 
 def _read_problem(d, path: str) -> QuadraticSpec | MlpSpec:
     _object(d, path)

@@ -1,122 +1,41 @@
-"""Dataset assembly: IDX ingestion, subsetting, and synthetic fixtures.
+"""Data loading from IDX files, and synthetic digit fixtures.
 
-Images are flattened to float64 rows scaled into [0, 1]; classification
-targets are one-hot rows, reconstruction targets are the inputs
-themselves. Subsetting shuffles with a seeded stream and takes a prefix,
-so a given (seed, limit) always selects the same samples.
+A split's inputs are its images flattened to float64 rows scaled into
+[0, 1]. Classification targets are one-hot rows of its labels;
+reconstruction targets are the inputs themselves.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .idx import load_idx
 from .rng import SeededRng
 
 
-@dataclass
-class Dataset:
-    """Flattened train/test inputs plus optional integer labels."""
-
-    train_inputs: np.ndarray  # (n, d) float64 in [0, 1]
-    train_labels: np.ndarray | None
-    test_inputs: np.ndarray | None = None
-    test_labels: np.ndarray | None = None
-    num_classes: int | None = None
-
-    def __post_init__(self):
-        if self.train_labels is not None:
-            if self.train_labels.shape[0] != self.train_inputs.shape[0]:
-                raise ValueError("label count does not match sample count")
-            if self.num_classes is None:
-                raise ValueError("labeled datasets must declare num_classes")
-            for labels in (self.train_labels, self.test_labels):
-                if labels is not None and (
-                    labels.min() < 0 or labels.max() >= self.num_classes
-                ):
-                    raise ValueError("labels must lie in [0, num_classes)")
-
-    @property
-    def n(self) -> int:
-        return self.train_inputs.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.train_inputs.shape[1]
-
-    def train_targets(self, task: str) -> np.ndarray:
-        if task == "classification":
-            if self.train_labels is None:
-                raise ValueError("classification needs labels")
-            return one_hot(self.train_labels, self.num_classes)
-        if task == "reconstruction":
-            return self.train_inputs
-        raise ValueError("task must be 'classification' or 'reconstruction'")
-
-    def test_targets(self, task: str) -> np.ndarray | None:
-        if self.test_inputs is None:
-            return None
-        if task == "classification":
-            if self.test_labels is None:
-                return None
-            return one_hot(self.test_labels, self.num_classes)
-        return self.test_inputs
-
-
-def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    out = np.zeros((labels.shape[0], num_classes))
-    out[np.arange(labels.shape[0]), labels] = 1.0
-    return out
-
-
-def _flatten_images(raw: np.ndarray) -> np.ndarray:
-    n, rows, cols = raw.shape
-    return raw.reshape(n, rows * cols).astype(np.float64) / 255.0
-
-
-def from_idx(
-    images_path,
-    labels_path=None,
-    test_images_path=None,
-    test_labels_path=None,
-    num_classes: int = 10,
-) -> Dataset:
-    """Load a dataset from IDX files; labels are optional (reconstruction)."""
-    train_inputs = _flatten_images(load_idx(images_path))
-    train_labels = None
-    if labels_path is not None:
-        train_labels = load_idx(labels_path).astype(np.int64)
-    test_inputs = test_labels = None
-    if test_images_path is not None:
-        test_inputs = _flatten_images(load_idx(test_images_path))
-        if test_labels_path is not None:
-            test_labels = load_idx(test_labels_path).astype(np.int64)
-    return Dataset(
-        train_inputs,
-        train_labels,
-        test_inputs,
-        test_labels,
-        num_classes if train_labels is not None else None,
-    )
-
-
-def subset(dataset: Dataset, limit: int, rng: SeededRng) -> Dataset:
-    """Seeded-shuffle prefix of the training split; the test split is kept."""
-    if limit <= 0:
-        raise ValueError("limit must be positive")
-    if limit >= dataset.n:
-        return dataset
-    order = rng.permutation(dataset.n)[:limit]
-    return Dataset(
-        dataset.train_inputs[order],
-        None if dataset.train_labels is None else dataset.train_labels[order],
-        dataset.test_inputs,
-        dataset.test_labels,
-        dataset.num_classes,
-    )
+def load_split(images, labels, num_classes: int, split: str = "") -> tuple[np.ndarray, np.ndarray]:
+    """``(inputs, targets)`` of one split from its IDX files; with no
+    labels the targets are the inputs array itself. A file that does not
+    fit raises ConfigError on ``problem.<split>images`` or
+    ``problem.<split>labels``."""
+    raw = load_idx(images)
+    if raw.ndim != 3:
+        raise ConfigError(f"problem.{split}images", "expected an image stack, got a label file")
+    inputs = raw.reshape(len(raw), -1) / 255.0
+    if labels is None:
+        return inputs, inputs
+    field = f"problem.{split}labels"
+    raw = load_idx(labels)
+    if raw.ndim != 1:
+        raise ConfigError(field, "expected a label file, got an image stack")
+    if len(raw) != len(inputs):
+        raise ConfigError(field, f"{len(raw)} labels for {len(inputs)} images")
+    if raw.max() >= num_classes:
+        raise ConfigError(field, f"labels must lie in [0, {num_classes}), found {raw.max()}")
+    return inputs, np.eye(num_classes)[raw]
 
 
 # Samples generated together: a chunk's draws and canvases take about 2 MB

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig, QuadraticSpec, RateSpec
-from .datasets import from_idx, subset
+from .datasets import load_split
 from .errors import ConfigError
 from .optimizers import WHOLE, FixedDecayRate, FixedRate, PlsRate, TrainRecord, run_optimizer
 from .problems import MlpLsrProblem, QuadraticProblem, finite_diff_grad, glorot_init
@@ -51,28 +51,26 @@ def build_problem(cfg: ExperimentConfig):
         return problem, x0, None
 
     spec = cfg.problem
-    dataset = from_idx(
-        spec.images,
-        spec.labels,
-        spec.test_images,
-        spec.test_labels,
-        num_classes=spec.num_classes,
-    )
-    if cfg.limit is not None:
-        dataset = subset(dataset, cfg.limit, root.spawn(SHUFFLE_STREAM))
-    if dataset.d != spec.layers[0]:
+    inputs, targets = load_split(spec.images, spec.labels, spec.num_classes)
+    n = len(inputs)
+    if cfg.limit is not None and cfg.limit < n:  # a seeded-shuffle prefix
+        order = root.spawn(SHUFFLE_STREAM).permutation(n)[:cfg.limit]
+        labeled = targets is not inputs
+        inputs = inputs[order]
+        targets = targets[order] if labeled else inputs
+    if inputs.shape[1] != spec.layers[0]:
         raise ConfigError(
-            "problem.layers", f"first layer size {spec.layers[0]} != data width {dataset.d}"
+            "problem.layers", f"first layer size {spec.layers[0]} != data width {inputs.shape[1]}"
         )
-    targets = dataset.train_targets(spec.task)
-    problem = MlpLsrProblem(spec.layers, dataset.train_inputs, targets, l2=spec.l2)
+    problem = MlpLsrProblem(spec.layers, inputs, targets, l2=spec.l2)
     x0 = glorot_init(spec.layers, root.spawn(INIT_STREAM))
 
     test_fn = None
-    test_targets = dataset.test_targets(spec.task)
-    if test_targets is not None:
-        test_obj = MlpLsrProblem(spec.layers, dataset.test_inputs, test_targets, l2=0.0)
-        test_fn = test_obj.full_value
+    # a reconstruction test split is its images; a classification one needs labels too
+    if spec.test_images is not None and (spec.labels is None or spec.test_labels is not None):
+        test_inputs, test_targets = load_split(
+            spec.test_images, spec.test_labels, spec.num_classes, "test_")
+        test_fn = MlpLsrProblem(spec.layers, test_inputs, test_targets, l2=0.0).full_value
     return problem, x0, test_fn
 
 
@@ -124,9 +122,9 @@ def write_records_csv(path, records: list[TrainRecord], n_groups: int) -> None:
 
 def execute(cfg: ExperimentConfig, out_dir) -> dict:
     """Run one experiment; write records.csv and summary.json under out_dir."""
+    problem, x0, test_fn = build_problem(cfg)  # bad data fails before anything is written
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    problem, x0, test_fn = build_problem(cfg)
     rate_source = build_rate_source(cfg.rate, problem.layer_partition)
     n_groups = len(rate_source.groups)
 
@@ -259,6 +257,8 @@ def gradcheck_report(cfg: ExperimentConfig, n_points: int = 20) -> dict:
     the largest one (central differences cannot resolve near-zero
     derivatives in relative terms). Small problems check every coordinate.
     """
+    if n_points < 1:
+        raise ValueError(f"points must be at least 1, got {n_points}")
     problem, x0, _ = build_problem(cfg)
     rng = SeededRng(cfg.seed).spawn(17)
     batch_size = min(cfg.batch_size, problem.n)

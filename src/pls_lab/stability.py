@@ -81,8 +81,6 @@ def amsgrad_rate_window(beta1: float, sqrt_vhat: float, L: float) -> tuple[float
     sqrt(beta1).
 
     Bounds are ((1 -+ sqrt(beta1)) / (1 +- sqrt(beta1))) * sqrt_vhat / L.
-    The equivalent form (1 -+ sqrt(beta1))^2 / (1 - beta1) is checked
-    against them as an internal identity.
     """
     if not 0.0 < beta1 < 1.0:
         raise ValueError("beta1 must lie strictly in (0, 1)")
@@ -92,12 +90,6 @@ def amsgrad_rate_window(beta1: float, sqrt_vhat: float, L: float) -> tuple[float
     scale = sqrt_vhat / L
     lo = (1.0 - s) / (1.0 + s) * scale
     hi = (1.0 + s) / (1.0 - s) * scale
-    lo_alt = (1.0 - s) ** 2 / (1.0 - beta1) * scale
-    hi_alt = (1.0 + s) ** 2 / (1.0 - beta1) * scale
-    if not (
-        math.isclose(lo, lo_alt, rel_tol=1e-9) and math.isclose(hi, hi_alt, rel_tol=1e-9)
-    ):
-        raise ConsistencyError("rate-window forms disagree")
     return lo, hi
 
 

@@ -3,10 +3,11 @@ import numpy.testing as npt
 import pytest
 
 from pls_lab import datasets
-from pls_lab.datasets import Dataset, from_idx, one_hot, subset, synthetic_digits
-from pls_lab.errors import IdxFormatError
+from pls_lab.config import ExperimentConfig
+from pls_lab.datasets import load_split, synthetic_digits
+from pls_lab.errors import ConfigError, IdxFormatError
 from pls_lab.idx import MAGIC_IMAGES, MAGIC_LABELS, load_idx, write_idx
-from pls_lab.rng import SeededRng
+from pls_lab.runner import build_problem
 
 from _oracles import synthetic_digits_loop
 
@@ -41,9 +42,10 @@ class TestIdxCodec:
 
     def test_single_zero_image(self, tmp_path):
         write_idx(tmp_path / "one.idx", np.zeros((1, 28, 28), dtype=np.uint8))
-        ds = from_idx(tmp_path / "one.idx")
-        assert ds.train_inputs.shape == (1, 784)
-        npt.assert_array_equal(ds.train_inputs, np.zeros((1, 784)))
+        inputs, targets = load_split(tmp_path / "one.idx", None, 10)
+        assert inputs.shape == (1, 784)
+        npt.assert_array_equal(inputs, np.zeros((1, 784)))
+        assert targets is inputs
 
     def test_unsupported_magic_named_with_offset(self, tmp_path):
         path = tmp_path / "bad.idx"
@@ -101,42 +103,71 @@ class TestIdxCodec:
             write_idx(tmp_path / "f.idx", np.zeros(4, dtype=np.float64))
 
 
+def _write(tmp_path, images, labels):
+    write_idx(tmp_path / "i.idx", np.asarray(images, dtype=np.uint8))
+    write_idx(tmp_path / "l.idx", np.asarray(labels, dtype=np.uint8))
+    return tmp_path / "i.idx", tmp_path / "l.idx"
+
+
+def _build(tmp_path, limit, kind="mlp-classification"):
+    """build_problem on ten 1x2 images whose pixels are 20k and 20k+10,
+    labelled k % 2."""
+    images = np.stack([[[20 * k, 20 * k + 10]] for k in range(10)])
+    images_path, labels_path = _write(tmp_path, images, np.arange(10) % 2)
+    problem = {"kind": kind, "layers": [2, 3, 2], "images": str(images_path)}
+    if kind == "mlp-classification":
+        problem.update(labels=str(labels_path), num_classes=2)
+    cfg = ExperimentConfig.from_dict({"problem": problem, "algorithm": "sgd",
+                                      "rate": {"kind": "fixed", "eta": 0.1},
+                                      "steps": 1, "seed": 3, "limit": limit})
+    return build_problem(cfg)[0]
+
+
 class TestDataset:
-    def test_from_idx_scaling_and_labels(self, tmp_path):
+    def test_load_split_scaling_and_labels(self, tmp_path):
         images, labels = synthetic_digits(30, seed=2, rows=8, cols=8)
-        write_idx(tmp_path / "i.idx", images)
-        write_idx(tmp_path / "l.idx", labels)
-        ds = from_idx(tmp_path / "i.idx", tmp_path / "l.idx")
-        assert ds.train_inputs.min() >= 0.0 and ds.train_inputs.max() <= 1.0
-        assert ds.train_inputs.shape == (30, 64)
-        assert ds.num_classes == 10
-        npt.assert_array_equal(ds.train_labels, labels.astype(np.int64))
+        inputs, targets = load_split(*_write(tmp_path, images, labels), 10)
+        assert inputs.min() >= 0.0 and inputs.max() <= 1.0
+        assert inputs.shape == (30, 64)
+        npt.assert_array_equal(inputs, images.reshape(30, 64) / 255.0)
+        npt.assert_array_equal(targets.argmax(axis=1), labels)
 
-    def test_label_range_enforced(self):
-        with pytest.raises(ValueError):
-            Dataset(np.zeros((2, 4)), np.array([0, 10]), num_classes=10)
+    def test_label_range_enforced(self, tmp_path):
+        paths = _write(tmp_path, np.zeros((2, 2, 2)), [0, 10])
+        with pytest.raises(ConfigError, match=r"labels must lie in \[0, 10\), found 10") as exc:
+            load_split(*paths, 10)
+        assert exc.value.field == "problem.labels"
 
-    def test_one_hot(self):
-        got = one_hot(np.array([1, 0, 2]), 3)
-        npt.assert_array_equal(got, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    def test_one_hot(self, tmp_path):
+        _, targets = load_split(*_write(tmp_path, np.zeros((3, 1, 1)), [1, 0, 2]), 3)
+        npt.assert_array_equal(targets, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
 
-    def test_targets_by_task(self):
-        ds = Dataset(np.full((3, 2), 0.5), np.array([0, 1, 0]), num_classes=2)
-        npt.assert_array_equal(ds.train_targets("classification"),
-                               one_hot(np.array([0, 1, 0]), 2))
-        npt.assert_array_equal(ds.train_targets("reconstruction"), ds.train_inputs)
+    def test_targets_by_task(self, tmp_path):
+        images_path, labels_path = _write(tmp_path, np.full((3, 1, 2), 51), [0, 1, 0])
+        inputs, targets = load_split(images_path, labels_path, 2)
+        npt.assert_array_equal(targets, [[1, 0], [0, 1], [1, 0]])
+        inputs, targets = load_split(images_path, None, 2)
+        assert targets is inputs
+        npt.assert_array_equal(inputs, np.full((3, 2), 0.2))
 
-    def test_subset_is_seeded_shuffle_prefix(self):
-        ds = Dataset(np.arange(20.0).reshape(10, 2) / 20.0, np.arange(10) % 2,
-                     num_classes=2)
-        s1 = subset(ds, 4, SeededRng(3))
-        s2 = subset(ds, 4, SeededRng(3))
-        npt.assert_array_equal(s1.train_inputs, s2.train_inputs)
+    def test_subset_is_seeded_shuffle_prefix(self, tmp_path):
+        s1 = _build(tmp_path, 4)
+        s2 = _build(tmp_path, 4)
+        npt.assert_array_equal(s1.inputs, s2.inputs)
         assert s1.n == 4
-        assert subset(ds, 10, SeededRng(3)) is ds  # no-op at full size
+        # each sample keeps its own label
+        npt.assert_array_equal(s1.targets.argmax(axis=1), np.round(s1.inputs[:, 0] * 255 / 20) % 2)
         # prefix of the same shuffle: limit 4 is a prefix of limit 6
-        s3 = subset(ds, 6, SeededRng(3))
-        npt.assert_array_equal(s3.train_inputs[:4], s1.train_inputs)
+        s3 = _build(tmp_path, 6)
+        npt.assert_array_equal(s3.inputs[:4], s1.inputs)
+        for limit in (10, 11, None):  # no shuffle at full size
+            full = _build(tmp_path, limit)
+            npt.assert_array_equal(full.inputs[:, 0], np.arange(0, 200, 20) / 255.0)
+
+    def test_subset_keeps_reconstruction_targets_the_inputs(self, tmp_path):
+        problem = _build(tmp_path, 4, kind="mlp-reconstruction")
+        assert problem.n == 4
+        assert problem.targets is problem.inputs
 
     def test_synthetic_digits_deterministic_and_balancedish(self):
         a_img, a_lab = synthetic_digits(50, seed=9, rows=8, cols=8)

@@ -20,7 +20,7 @@ from pls_lab.optimizers import (
 from pls_lab.problems import QuadraticProblem
 from pls_lab.rng import SeededRng
 
-from _oracles import accsgd_step, amsgrad_step
+from _oracles import accsgd_step, amsgrad_step, run_with_iterates
 
 
 def isotropic_quadratic(curvature=1.0, dim=3, n=10, seed=2):
@@ -377,3 +377,22 @@ class TestRunOptimizer:
         with pytest.raises(ValueError):
             run_optimizer(prob, "sgd", FixedRate(0.1), steps=1, seed=1,
                           x0=np.zeros(prob.d), batch_size=0)
+
+
+@pytest.mark.parametrize("curvature", [0.1, 1.0, 10.0])
+def test_pls_descent_stalls_at_an_eps1_sized_distance(curvature):
+    """c05's quadratic over 400 steps: once the displacement is far below
+    eps1, L-hat ~ L * ||dx|| / eps1 collapses and the rate grows, so the
+    iterate hovers about eps1 / 6 from x*, while a fixed rate reaches it."""
+    prob = QuadraticProblem.random(4, 10, curvature, 1.0, SeededRng(3))
+    x0 = prob.x_star + np.full(4, 0.8)
+    for eps1 in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10):
+        res, xs = run_with_iterates(prob, "sgd", PlsRate(prob.layer_partition, 0.5, eps1, 1e-8),
+                                    steps=400, seed=1, x0=x0, batch_size=prob.n)
+        assert not res.diverged
+        dist = np.linalg.norm(xs[300:] - prob.x_star, axis=1)
+        assert np.all((0.1 * eps1 <= dist) & (dist <= 0.3 * eps1)), (eps1, dist.min(), dist.max())
+    if curvature == 1.0:  # eta L = 0.5: a fixed rate inside the window
+        res, xs = run_with_iterates(prob, "sgd", FixedRate(0.5), steps=400, seed=1, x0=x0,
+                                    batch_size=prob.n)
+        assert np.linalg.norm(xs[300:] - prob.x_star, axis=1).max() < 1e-12

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import pickle
 import warnings
@@ -13,7 +14,9 @@ import pls_lab.cli as cli_mod
 from pls_lab import errors
 from pls_lab.cli import main
 from pls_lab.config import ExperimentConfig
+from pls_lab.datasets import synthetic_digits
 from pls_lab.errors import ConfigError, IdxFormatError
+from pls_lab.idx import write_idx
 from pls_lab.problems import MlpLsrProblem, QuadraticProblem
 from pls_lab.runner import build_problem, execute, execute_config, gradcheck_report, run_grid
 
@@ -360,6 +363,15 @@ class TestCli:
         npt.assert_allclose(out["spectral_radius"], 0.948683, atol=1e-6)
         npt.assert_allclose(out["window"], [0.026334, 37.973666], atol=1e-5)
 
+    def test_stability_t2_window_with_beta1_near_one(self, capsys):
+        # (1 - s)/(1 + s) and (1 - s)^2/(1 - beta1) differ by more than 1e-9 here
+        assert main(["stability", "t2", "--beta1=0.999999999999", "--sqrtvhat=1", "--L=1",
+                     "--eta=1"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        s = math.sqrt(0.999999999999)
+        assert json.loads(captured.out)["window"] == [(1 - s) / (1 + s), (1 + s) / (1 - s)]
+
     def test_stability_t3_json(self, capsys):
         assert main(["stability", "t3", "--kappa", "1000", "--xi", "10",
                      "--L", "1", "--eta", "0.5", "--rho", "0.996"]) == 0
@@ -587,6 +599,33 @@ class TestCli:
         assert captured.err.startswith("error: ") and "must be at least 1" in captured.err
         assert not out.exists()  # nothing written, the train split included
 
+    def test_run_limit_flag_is_checked_as_the_config_key(self, small_digits_dir, tmp_path,
+                                                         capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(mlp_classification_config(
+            small_digits_dir, layers=[64, 8, 10], steps=1, seed=1,
+            rate={"kind": "fixed", "eta": 0.01})))
+        out = tmp_path / "o"
+        for limit in ("0", "-5"):
+            assert main(["run", "--config", str(cfg_path), "--out", str(out),
+                         "--limit", limit]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"error: limit: expected a positive integer, got {limit}\n"
+            assert captured.out == "" and not out.exists()
+        assert main(["run", "--config", str(cfg_path), "--out", str(out), "--limit", "40"]) == 0
+        assert json.loads((out / "summary.json").read_text())["config"]["limit"] == 40
+
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_gradcheck_refuses_to_check_no_point(self, points, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(quadratic_pls_config(steps=0)))
+        assert main(["gradcheck", "--config", str(cfg_path), "--points", points]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: points must be at least 1, got {points}\n"
+        with pytest.raises(ValueError, match="points must be at least 1"):
+            gradcheck_report(ExperimentConfig.load(cfg_path), n_points=int(points))
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)]) == 2
@@ -688,6 +727,51 @@ def test_grid_error_is_reported_alike_for_any_worker_count(workers, tmp_path, mo
         "error: magic 0x67617262 is not a supported uint8 layout "
         "(expected 0x00000803 or 0x00000801) (at byte offset 0)\n"
     )
+
+
+def _data_fault(root, fault):
+    """The problem keys of a classification config on 8x8 digits whose
+    ``fault`` names the one file that does not fit, and the error it gives."""
+    images, labels = synthetic_digits(12, seed=1, rows=8, cols=8)
+    files = {"images": images, "labels": labels, "test_images": images[:6],
+             "test_labels": labels[:6], "short_labels": labels[:11],
+             "label_ten": np.where(np.arange(12) == 5, 10, labels).astype(np.uint8)}
+    files["test_label_ten"] = files["label_ten"][:6]
+    for name, array in files.items():
+        write_idx(root / f"{name}.idx", array)
+    paths = {key: str(root / f"{key}.idx")
+             for key in ("images", "labels", "test_images", "test_labels")}
+    key, name, message = fault
+    paths[key] = str(root / f"{name}.idx")
+    return paths, f"error: problem.{key}: {message}\n"
+
+
+DATA_FAULTS = [
+    ("labels", "short_labels", "11 labels for 12 images"),
+    ("labels", "label_ten", "labels must lie in [0, 10), found 10"),
+    ("labels", "images", "expected a label file, got an image stack"),
+    ("images", "labels", "expected an image stack, got a label file"),
+    ("test_labels", "labels", "12 labels for 6 images"),
+    ("test_labels", "test_label_ten", "labels must lie in [0, 10), found 10"),
+    ("test_images", "test_labels", "expected an image stack, got a label file"),
+]
+
+
+@pytest.mark.parametrize("fault", DATA_FAULTS, ids=lambda f: f"{f[0]}-{f[1]}")
+def test_data_faults_name_the_config_field(fault, tmp_path, capfd):
+    problem, expected = _data_fault(tmp_path, fault)
+    cfg = mlp_classification_config(tmp_path, layers=[64, 8, 10], steps=2, seed=1,
+                                     rate={"kind": "fixed", "eta": 0.01}, batch_size=4)
+    cfg["problem"].update(problem)
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 2
+    assert capfd.readouterr() == ("", expected)
+    assert not (tmp_path / "run").exists()
+    for workers in ("1", "2"):
+        assert main(["grid", "--configs", str(cfg_path), "--out", str(tmp_path / "grid"),
+                     "--workers", workers]) == 2
+        assert capfd.readouterr() == ("", expected)
 
 
 def _quadratic_configs(root, seeds):
