@@ -90,6 +90,10 @@ def _cmd_gradcheck(args) -> int:
     return 0 if report["passed"] else 1
 
 
+# json.dumps(..., indent=2, allow_nan=False) builds this encoder per call
+_REPORT_JSON = json.JSONEncoder(indent=2, allow_nan=False)
+
+
 def _cmd_stability(args) -> int:
     params = {k: v for k, v in vars(args).items() if k not in ("command", "system")}
     try:
@@ -97,7 +101,7 @@ def _cmd_stability(args) -> int:
     except (ValueError, PlsLabError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(json.dumps(result, indent=2, allow_nan=False))
+    print(_REPORT_JSON.encode(result))
     return 0
 
 
@@ -171,10 +175,31 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = None  # built by the first main() call, then reused
 
 
+def _subcommands(parser: argparse.ArgumentParser):
+    """The add_subparsers() action of ``parser``, or None for a leaf."""
+    return next((a for a in parser._actions if isinstance(a, argparse._SubParsersAction)), None)
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``_PARSER.parse_args(argv)``, parsed once by the leaf parser that the
+    leading words name (``stability t1``, ``run``) instead of by each level
+    in turn. Words that name no leaf (help, a bad or missing command or
+    system) and words the leaf leaves over go to the whole tree, which
+    prints its usage, help and errors."""
+    parser, args, depth = _PARSER, argparse.Namespace(), 0
+    while (action := _subcommands(parser)) is not None:
+        if depth == len(argv) or argv[depth] not in action.choices:
+            return _PARSER.parse_args(argv)
+        setattr(args, action.dest, argv[depth])
+        parser, depth = action.choices[argv[depth]], depth + 1
+    args, extras = parser.parse_known_args(argv[depth:], args)
+    return _PARSER.parse_args(argv) if extras else args
+
+
 def main(argv=None) -> int:
     global _PARSER
     _PARSER = _PARSER or build_parser()
-    args = _PARSER.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     # looked up per call, so the cached parser holds no handler
     handler = globals()["_cmd_" + args.command.replace("-", "_")]
     try:

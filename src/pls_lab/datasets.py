@@ -11,24 +11,33 @@ import copy
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, IdxFormatError
 from .idx import load_idx
 from .rng import SeededRng
 
 
+def _load(path, field: str) -> np.ndarray:
+    """``load_idx(path)``, its format errors naming the config key ``field``."""
+    try:
+        return load_idx(path)
+    except IdxFormatError as exc:
+        raise IdxFormatError(exc.args[0], exc.offset, field) from None
+
+
 def load_split(images, labels, num_classes: int, split: str = "") -> tuple[np.ndarray, np.ndarray]:
     """``(inputs, targets)`` of one split from its IDX files; with no
-    labels the targets are the inputs array itself. A file that does not
-    fit raises ConfigError on ``problem.<split>images`` or
-    ``problem.<split>labels``."""
-    raw = load_idx(images)
+    labels the targets are the inputs array itself. A file that is not
+    IDX raises IdxFormatError, and one that does not fit ConfigError, on
+    ``problem.<split>images`` or ``problem.<split>labels``."""
+    field = f"problem.{split}images"
+    raw = _load(images, field)
     if raw.ndim != 3:
-        raise ConfigError(f"problem.{split}images", "expected an image stack, got a label file")
+        raise ConfigError(field, "expected an image stack, got a label file")
     inputs = raw.reshape(len(raw), -1) / 255.0
     if labels is None:
         return inputs, inputs
     field = f"problem.{split}labels"
-    raw = load_idx(labels)
+    raw = _load(labels, field)
     if raw.ndim != 1:
         raise ConfigError(field, "expected a label file, got an image stack")
     if len(raw) != len(inputs):

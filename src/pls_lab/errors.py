@@ -18,14 +18,17 @@ class ConsistencyError(PlsLabError):
 
 
 class IdxFormatError(PlsLabError):
-    """Malformed IDX file. ``offset`` is the byte position of the problem."""
+    """Malformed IDX file. ``offset`` is the byte position of the problem;
+    ``field`` is the config key of the file, when one was read for it."""
 
-    def __init__(self, message: str, offset: int):
-        super().__init__(message, offset)  # the constructor's args: it pickles
+    def __init__(self, message: str, offset: int, field: str | None = None):
+        super().__init__(message, offset, field)  # the constructor's args: it pickles
         self.offset = offset
+        self.field = field
 
     def __str__(self) -> str:
-        return f"{self.args[0]} (at byte offset {self.offset})"
+        where = f"{self.field}: " if self.field else ""
+        return f"{where}{self.args[0]} (at byte offset {self.offset})"
 
 
 class ConfigError(PlsLabError):

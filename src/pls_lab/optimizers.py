@@ -6,10 +6,10 @@ the same updates driven by a different step-size source. Each iteration
 follows the same line order: sample batch, gradient, smoothness
 prediction, step size, moment updates, parameter update. Every update
 takes one scalar step size and advances one rate group's slice of the
-iterate in place. The adaptive-moment and accelerated updates run block
-by block (``linalg.blocks``) through one workspace per update state, with
-the operations and their order of the textbook expressions in their
-docstrings, so they allocate nothing per step and give the same bits.
+iterate in place. The updates run block by block (``linalg.blocks``)
+through one block-sized workspace, with the operations and their order
+of the textbook expressions in their docstrings, so they allocate
+nothing the size of a group per step and give the same bits.
 """
 
 from __future__ import annotations
@@ -39,8 +39,11 @@ WHOLE = ((0, None),)
 
 
 def sgd_step(x: np.ndarray, g: np.ndarray, eta: float) -> None:
-    """x -= eta * g, in place."""
-    x -= eta * g
+    """x -= eta * g, in place, block by block through one block-sized
+    workspace (``g * eta``: the same bits)."""
+    for s, w in blocks(x.size, np.empty(min(x.size, BLOCK))):
+        np.multiply(g[s], eta, out=w)
+        x[s] -= w
 
 
 class AmsgradState:

@@ -190,6 +190,16 @@ class TestBlockedUpdatesMatchWholeArrays:
             assert x.tobytes() == ref.tobytes()
             assert st.m.tobytes() == m.tobytes()
 
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    def test_sgd(self, n):
+        x = np.random.default_rng(n).standard_normal(n + 1)[1:]
+        ref = x.copy()
+        for t, g in enumerate(_gradients(n, 4, seed=n + 3), start=1):
+            eta = 0.01 / t
+            sgd_step(x, g, eta)
+            ref -= eta * g
+            assert x.tobytes() == ref.tobytes()
+
 
 def test_steady_state_step_allocates_less_than_one_group():
     # after the first step a rate reading and an update reuse their buffers
@@ -197,7 +207,7 @@ def test_steady_state_step_allocates_less_than_one_group():
     rng = np.random.default_rng(3)
     x = rng.standard_normal(n)
     src = PlsRate([(0, n)], 0.001, 0.01, 0.01)
-    updates = [AmsgradState(n).step, AccsgdState.from_params(1000.0, 10.0, x).step]
+    updates = [sgd_step, AmsgradState(n).step, AccsgdState.from_params(1000.0, 10.0, x).step]
     for update in updates:
         g = rng.standard_normal(n)
         (eta, _), = src.rates(1, x, g)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -45,6 +46,8 @@ STABILITY_ARGS = {
     "t2": {"--beta1": "0.9", "--sqrtvhat": "1", "--L": "1", "--eta": "1.0", "--rho": "0.95"},
     "t3": {"--kappa": "1000", "--xi": "10", "--L": "1", "--eta": "0.5", "--rho": "0.996"},
 }
+
+T1_ARGV = ["stability", "t1", *sum(STABILITY_ARGS["t1"].items(), ())]
 
 
 def read_csv(path):
@@ -529,6 +532,58 @@ class TestCli:
         assert main(argv) == 0
         assert capsys.readouterr() == fresh
 
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["--help"], ["stability", "-h"], ["run", "-h"], ["grid", "-h"],
+        ["gradcheck", "-h"], ["make-dataset", "-h"],
+        *(["stability", system, "-h"] for system in STABILITY_ARGS),
+        ["bogus"], ["--seed", "1", "run"], ["stability"], ["stability", "t4"],
+        ["stability", "--L", "2"],
+        [*T1_ARGV, "extra"], [*T1_ARGV, "--bogus", "1"], [*T1_ARGV, "--steps", "3", "4"],
+        ["stability", "t1", "--L", "2", "--rho", "0.5", "--et="],
+        ["stability", "t1", "--L", "2", "--rho", "0.5", "--et=0.4"],
+        ["stability", "t1", "--L", "2", "--rho", "0.5", "--eta", "-5e-05"],
+        ["stability", "t1", "--", *T1_ARGV[2:]], [*T1_ARGV, "--"],
+        [*T1_ARGV, "--eta", "0.3"], [*T1_ARGV, "-h"],
+        ["stability", "t1", "--L", "2", "--rho", "0.5"], ["stability", "t2", "--rho", "x"],
+        ["run"], ["run", "--config"], ["run", "--config", "c.json", "--limit", "x"],
+        ["run", "--config", "c.json", "extra"], ["run", "--config", "c.json", "--seed", "7"],
+        ["grid"], ["grid", "--configs"], ["grid", "--configs", "a.json", "--workers", "x"],
+        ["gradcheck"], ["gradcheck", "--config", "c.json", "--points", "x"],
+        ["make-dataset"], ["make-dataset", "--out", "d", "--train", "x"],
+        ["make-dataset", "--out", "d", "--rows", "8"],
+    ])
+    def test_dispatch_parses_as_the_whole_tree(self, argv, monkeypatch, capsys):
+        def outcome(parse):
+            try:
+                code, args = 0, parse()
+            except SystemExit as exc:
+                code, args = exc.code, None
+            return code, *capsys.readouterr(), args
+
+        seen = []
+        for name in ("run", "grid", "stability", "gradcheck", "make_dataset"):
+            monkeypatch.setattr(cli_mod, f"_cmd_{name}", lambda args: seen.append(args) or 0)
+        main(T1_ARGV)  # the parser exists
+        capsys.readouterr()
+        whole = outcome(lambda: cli_mod._PARSER.parse_args(argv))
+        dispatched = outcome(lambda: main(argv) or seen[-1])
+        assert dispatched == whole
+
+    def test_stability_call_is_parsed_once(self, monkeypatch, capsys):
+        main(T1_ARGV)  # the parser exists
+        capsys.readouterr()
+        calls = []
+        parse = argparse.ArgumentParser.parse_known_args
+
+        def counting(parser, *args, **kwargs):
+            calls.append(parser.prog)
+            return parse(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+        assert main(T1_ARGV) == 0
+        assert calls == ["pls-lab stability t1"]
+        assert json.loads(capsys.readouterr().out)["factor"] == pytest.approx(0.2)
+
     def test_gradcheck_subcommand(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(quadratic_pls_config(steps=0)))
@@ -684,10 +739,18 @@ def test_every_package_error_round_trips_through_pickle():
         assert back.args == exc.args and vars(back) == vars(exc)
     idx_error = pickle.loads(pickle.dumps(samples[errors.IdxFormatError]))
     assert str(idx_error) == "truncated dimension header (at byte offset 7)"
-    assert idx_error.offset == 7
+    assert idx_error.offset == 7 and idx_error.field is None
+    keyed = pickle.loads(pickle.dumps(errors.IdxFormatError("trailing bytes", 9, "problem.labels")))
+    assert str(keyed) == "problem.labels: trailing bytes (at byte offset 9)"
+    assert (keyed.offset, keyed.field) == (9, "problem.labels")
     config_error = pickle.loads(pickle.dumps(samples[errors.ConfigError]))
     assert str(config_error) == "rate.eta0: must be positive"
     assert config_error.field == "rate.eta0"
+
+
+# the error a file holding b"garbage" gives
+GARBAGE_MAGIC = ("magic 0x67617262 is not a supported uint8 layout "
+                 "(expected 0x00000803 or 0x00000801) (at byte offset 0)")
 
 
 def _garbage_data(root):
@@ -723,10 +786,7 @@ def test_grid_error_is_reported_alike_for_any_worker_count(workers, tmp_path, mo
                  str(CONFIGS / "reconstruction.json"), "--workers", workers])
     captured = capfd.readouterr()
     assert code == 2
-    assert captured.err == (
-        "error: magic 0x67617262 is not a supported uint8 layout "
-        "(expected 0x00000803 or 0x00000801) (at byte offset 0)\n"
-    )
+    assert captured.err == f"error: problem.images: {GARBAGE_MAGIC}\n"
 
 
 def _data_fault(root, fault):
@@ -739,6 +799,7 @@ def _data_fault(root, fault):
     files["test_label_ten"] = files["label_ten"][:6]
     for name, array in files.items():
         write_idx(root / f"{name}.idx", array)
+    (root / "garbage.idx").write_bytes(b"garbage")
     paths = {key: str(root / f"{key}.idx")
              for key in ("images", "labels", "test_images", "test_labels")}
     key, name, message = fault
@@ -754,6 +815,8 @@ DATA_FAULTS = [
     ("test_labels", "labels", "12 labels for 6 images"),
     ("test_labels", "test_label_ten", "labels must lie in [0, 10), found 10"),
     ("test_images", "test_labels", "expected an image stack, got a label file"),
+    *((key, "garbage", GARBAGE_MAGIC)
+      for key in ("images", "labels", "test_images", "test_labels")),
 ]
 
 
