@@ -24,7 +24,7 @@ from pathlib import Path
 from . import stability as stab
 from .config import ExperimentConfig
 from .datasets import synthetic_digits
-from .errors import ConfigError, IdxFormatError, PlsLabError
+from .errors import ConfigError, PlsLabError
 from .idx import write_idx
 from .runner import execute, gradcheck_report, run_grid
 
@@ -42,30 +42,31 @@ _STABILITY_SYSTEMS = {
 }
 
 
-def _apply_seed_override(cfg: ExperimentConfig, flag_seed: int | None) -> ExperimentConfig:
-    if flag_seed is not None:
-        cfg.seed = flag_seed
+def _load_config(args) -> ExperimentConfig:
+    """The config file with --limit and the seed (--seed, else PLS_LAB_SEED)
+    set as its keys, checked as the file's keys are."""
+    cfg = ExperimentConfig.load(args.config).to_dict()
+    if getattr(args, "limit", None) is not None:
+        cfg["limit"] = args.limit
+    if args.seed is not None:
+        cfg["seed"] = args.seed
     elif os.environ.get(ENV_SEED):
         try:
-            cfg.seed = int(os.environ[ENV_SEED])
+            cfg["seed"] = int(os.environ[ENV_SEED])
         except ValueError as exc:
             raise ConfigError(ENV_SEED, f"not an integer: {os.environ[ENV_SEED]!r}") from exc
-    return cfg
+    return ExperimentConfig.from_dict(cfg)
 
 
-def _load_config(args) -> ExperimentConfig:
-    cfg = ExperimentConfig.load(args.config)
-    if getattr(args, "limit", None) is not None:  # checked as the file's key is
-        cfg = ExperimentConfig.from_dict(dict(cfg.to_dict(), limit=args.limit))
-    return _apply_seed_override(cfg, args.seed)
+# json.dumps(..., indent=2, allow_nan=False) builds this encoder per call
+_JSON = json.JSONEncoder(indent=2, allow_nan=False)
 
 
 def _cmd_run(args) -> int:
-    cfg = _load_config(args)
-    summary = execute(cfg, args.out)
-    print(json.dumps({k: summary[k] for k in (
+    summary = execute(_load_config(args), args.out)
+    print(_JSON.encode({k: summary[k] for k in (
         "diverged", "divergence_step", "steps_completed",
-        "final_train_loss", "final_test_loss")}, indent=2))
+        "final_train_loss", "final_test_loss")}))
     return 0
 
 
@@ -78,30 +79,15 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    cfg = _load_config(args)
-    try:
-        report = gradcheck_report(cfg, n_points=args.points)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(json.dumps({"max_rel_error": report["max_rel_error"],
-                      "points": report["points"],
-                      "passed": report["passed"]}, indent=2))
+    report = gradcheck_report(_load_config(args), n_points=args.points)
+    print(_JSON.encode(stab.finite_or_none({k: report[k] for k in (
+        "max_rel_error", "points", "passed")})))
     return 0 if report["passed"] else 1
-
-
-# json.dumps(..., indent=2, allow_nan=False) builds this encoder per call
-_REPORT_JSON = json.JSONEncoder(indent=2, allow_nan=False)
 
 
 def _cmd_stability(args) -> int:
     params = {k: v for k, v in vars(args).items() if k not in ("command", "system")}
-    try:
-        result = stab.analyze(args.system, **params)
-    except (ValueError, PlsLabError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(_REPORT_JSON.encode(result))
+    print(_JSON.encode(stab.analyze(args.system, **params)))
     return 0
 
 
@@ -111,8 +97,7 @@ def _cmd_make_dataset(args) -> int:
         try:
             splits[split] = synthetic_digits(count, args.seed + offset, args.rows, args.cols)
         except ValueError as exc:
-            print(f"error: {split} split: {exc}", file=sys.stderr)
-            return 2
+            raise ValueError(f"{split} split: {exc}") from exc
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     written = {}
@@ -123,7 +108,7 @@ def _cmd_make_dataset(args) -> int:
         write_idx(lab_path, labels)
         written[f"{split}_images"] = str(img_path)
         written[f"{split}_labels"] = str(lab_path)
-    print(json.dumps(written, indent=2))
+    print(_JSON.encode(written))
     return 0
 
 
@@ -203,8 +188,13 @@ def main(argv=None) -> int:
     # looked up per call, so the cached parser holds no handler
     handler = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        return handler(args)
-    except (ConfigError, IdxFormatError, FileNotFoundError) as exc:
+        code = handler(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:  # the reader closed stdout (the Python docs' recipe)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except (PlsLabError, ValueError, OSError) as exc:  # config, data, path or parameter
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -34,7 +34,7 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from typing import get_args, get_origin
 
 from .errors import ConfigError
-from .optimizers import ALGORITHMS
+from .optimizers import ACCSGD_M0, ALGORITHMS, BETA1_SCHEDULES
 from .smoothness import DECAY_MODES
 
 RATE_KINDS = ("fixed", "fixed-decay", "pls")
@@ -267,13 +267,14 @@ class RateSpec:
 class AmsgradSpec(_Spec):
     beta1: float = _field(0.9, positive=True)
     beta2: float = _field(0.999, positive=True)
-    beta1_schedule: str = _field("constant", choices=("constant", "over_t"))
+    beta1_schedule: str = _field("constant", choices=BETA1_SCHEDULES)
 
     @classmethod
     def from_dict(cls, d: dict, path: str) -> "AmsgradSpec":
         spec = _read(cls, d, path)
-        if spec.beta1 >= 1.0 or spec.beta2 >= 1.0:
-            raise ConfigError(path + "beta1", "moment factors must lie in (0, 1)")
+        for name in ("beta1", "beta2"):
+            if getattr(spec, name) >= 1.0:
+                raise ConfigError(path + name, "moment factors must lie in (0, 1)")
         return spec
 
 
@@ -281,7 +282,7 @@ class AmsgradSpec(_Spec):
 class AccsgdSpec(_Spec):
     kappa: float = _field(1000.0, positive=True)
     xi: float = _field(10.0, positive=True)
-    m0: str = _field("x0", choices=("x0", "zero"))
+    m0: str = _field("x0", choices=ACCSGD_M0)
 
     @classmethod
     def from_dict(cls, d: dict, path: str) -> "AccsgdSpec":
@@ -320,6 +321,6 @@ class ExperimentConfig(_Spec):
         with open(path) as fh:
             try:
                 raw = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
                 raise ConfigError("<file>", f"not valid JSON: {exc}") from exc
         return cls.from_dict(raw)

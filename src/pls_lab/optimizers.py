@@ -24,6 +24,8 @@ from .rng import SeededRng
 from .smoothness import SmoothnessEstimator
 
 ALGORITHMS = ("sgd", "amsgrad", "accsgd")
+BETA1_SCHEDULES = ("constant", "over_t")  # AmsgradState's beta1_schedule
+ACCSGD_M0 = ("x0", "zero")  # AccsgdState.from_params's m0
 
 # Runs halt once the batch loss exceeds this or anything goes non-finite.
 LOSS_CAP = 1e12
@@ -65,7 +67,7 @@ class AmsgradState:
                  beta1_schedule: str = "constant"):
         if not 0.0 < beta1 < 1.0 or not 0.0 < beta2 < 1.0:
             raise ValueError("beta1 and beta2 must lie in (0, 1)")
-        if beta1_schedule not in ("constant", "over_t"):
+        if beta1_schedule not in BETA1_SCHEDULES:
             raise ValueError("beta1_schedule must be 'constant' or 'over_t'")
         self.m = np.zeros(dim)
         self.v = np.zeros(dim)
@@ -135,13 +137,9 @@ class AccsgdState:
     def from_params(cls, kappa: float, xi: float, x0: np.ndarray,
                     m0: str = "x0") -> "AccsgdState":
         alpha, a, b = accsgd_coefficients(kappa, xi)
-        if m0 == "x0":
-            m = x0
-        elif m0 == "zero":
-            m = np.zeros_like(x0)
-        else:
+        if m0 not in ACCSGD_M0:
             raise ValueError("m0 must be 'x0' or 'zero'")
-        return cls(m, alpha, a, b)
+        return cls(x0 if m0 == "x0" else np.zeros_like(x0), alpha, a, b)
 
     def step(self, x: np.ndarray, g: np.ndarray, eta: float) -> None:
         alpha, b, a_eta = self.alpha, self.b, self.a * eta

@@ -216,7 +216,7 @@ def _run_in_interpreter(config_dict: dict, out_dir: str, env: dict) -> dict:
     if proc.returncode == 1 and proc.stdout:
         raise pickle.loads(proc.stdout)
     if proc.returncode != 0:
-        raise RuntimeError(f"grid job for {out_dir} exited with status {proc.returncode}")
+        raise ChildProcessError(f"grid job for {out_dir} exited with status {proc.returncode}")
     with open(Path(out_dir) / "summary.json") as fh:
         return json.load(fh)
 

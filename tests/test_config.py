@@ -173,6 +173,37 @@ def test_non_object_block_is_a_config_error(block, value):
     assert str(exc.value) == f"{block}: expected an object"
 
 
+def _without(block, key, **overrides):
+    """quadratic_config() with ``key`` dropped from ``block`` and ``overrides`` set in it."""
+    cfg = quadratic_config()
+    cfg[block] = {k: v for k, v in cfg[block].items() if k != key} | overrides
+    return cfg
+
+
+@pytest.mark.parametrize("raw, field, message", [
+    pytest.param([1, 2], "<root>", "config must be a JSON object", id="root-list"),
+    pytest.param(_without("problem", "kind"), "problem.kind", "missing required key",
+                 id="no-kind"),
+    pytest.param(_without("problem", "curvature"), "problem.curvature",
+                 "missing required key", id="no-curvature"),
+    pytest.param(quadratic_config(problem={"kind": "mlp-classification", "layers": [4, 3, 10],
+                                           "images": "i.idx"}),
+                 "problem.labels", "missing required key", id="no-labels"),
+    pytest.param(_without("rate", "eta"), "rate.eta", "missing required key", id="fixed-no-eta"),
+    pytest.param(quadratic_config(rate={"kind": "fixed-decay"}), "rate.eta0",
+                 "missing required key", id="fixed-decay-no-eta0"),
+    pytest.param(quadratic_config(accsgd={"kappa": 0.5, "xi": 0.5}), "accsgd.kappa",
+                 "must be at least 1", id="kappa-0.5"),
+    *(pytest.param(quadratic_config(amsgrad={name: value}), f"amsgrad.{name}",
+                   "moment factors must lie in (0, 1)", id=f"{name}-{value}")
+      for name in ("beta1", "beta2") for value in (1.0, 1.5)),
+])
+def test_rule_faults_name_their_key(raw, field, message):
+    with pytest.raises(ConfigError) as exc:
+        ExperimentConfig.from_dict(raw)
+    assert (exc.value.field, str(exc.value)) == (field, f"{field}: {message}")
+
+
 # A valid config in which each spec's fields are read, and the path to them.
 SPEC_CONFIGS = {
     QuadraticSpec: ("problem.", quadratic_config()),

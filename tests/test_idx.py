@@ -55,6 +55,14 @@ class TestIdxCodec:
         assert exc.value.offset == 0
         assert "0x00000802" in str(exc.value)
 
+    @pytest.mark.parametrize("blob", [b"", b"\x00\x00\x08"])
+    def test_file_shorter_than_a_magic_number(self, blob, tmp_path):
+        path = tmp_path / "tiny.idx"
+        path.write_bytes(blob)
+        with pytest.raises(IdxFormatError) as exc:
+            load_idx(path)
+        assert str(exc.value) == "file too short for a magic number (at byte offset 0)"
+
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "short.idx"
         path.write_bytes(MAGIC_IMAGES.to_bytes(4, "big") + b"\x00\x00\x00\x02")
@@ -109,12 +117,12 @@ def _write(tmp_path, images, labels):
     return tmp_path / "i.idx", tmp_path / "l.idx"
 
 
-def _build(tmp_path, limit, kind="mlp-classification"):
+def _build(tmp_path, limit, kind="mlp-classification", layers=(2, 3, 2)):
     """build_problem on ten 1x2 images whose pixels are 20k and 20k+10,
     labelled k % 2."""
     images = np.stack([[[20 * k, 20 * k + 10]] for k in range(10)])
     images_path, labels_path = _write(tmp_path, images, np.arange(10) % 2)
-    problem = {"kind": kind, "layers": [2, 3, 2], "images": str(images_path)}
+    problem = {"kind": kind, "layers": list(layers), "images": str(images_path)}
     if kind == "mlp-classification":
         problem.update(labels=str(labels_path), num_classes=2)
     cfg = ExperimentConfig.from_dict({"problem": problem, "algorithm": "sgd",
@@ -149,6 +157,12 @@ class TestDataset:
         inputs, targets = load_split(images_path, None, 2)
         assert targets is inputs
         npt.assert_array_equal(inputs, np.full((3, 2), 0.2))
+
+    def test_first_layer_must_match_the_data_width(self, tmp_path):
+        with pytest.raises(ConfigError) as exc:
+            _build(tmp_path, None, layers=(3, 3, 2))
+        assert (exc.value.field, str(exc.value)) == (
+            "problem.layers", "problem.layers: first layer size 3 != data width 2")
 
     def test_subset_is_seeded_shuffle_prefix(self, tmp_path):
         s1 = _build(tmp_path, 4)

@@ -1,8 +1,11 @@
 import argparse
+import errno
 import json
 import math
 import os
 import pickle
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -12,7 +15,7 @@ import pytest
 
 import pls_lab
 import pls_lab.cli as cli_mod
-from pls_lab import errors
+from pls_lab import errors, runner
 from pls_lab.cli import main
 from pls_lab.config import ExperimentConfig
 from pls_lab.datasets import synthetic_digits
@@ -709,6 +712,71 @@ def test_grid_refuses_configs_sharing_an_output_dir(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+# --- the one fault exit of the CLI ---
+
+
+def _os_error(code, path) -> str:
+    return f"[Errno {code}] {os.strerror(code)}: {str(path)!r}"
+
+
+@pytest.mark.parametrize("case", [
+    "run-config-dir", "grid-configs-dir", "run-not-utf8", "gradcheck-not-utf8",
+    "run-out-under-a-file", "make-dataset-out-a-file", "seed-env-not-an-integer",
+])
+def test_input_faults_exit_2_with_one_error_line(case, tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "q.json"
+    cfg.write_text(json.dumps(quadratic_pls_config(steps=2)))
+    folder, file = tmp_path / "folder", tmp_path / "file"
+    folder.mkdir()
+    file.write_text("")
+    latin1 = tmp_path / "latin1.json"  # a config with one latin-1 byte in a key
+    latin1.write_bytes(cfg.read_bytes()[:-1] + b', "n\xe9": 1}')
+    with pytest.raises(ValueError) as undecodable:
+        json.loads(latin1.read_text())
+    out = str(tmp_path / "out")
+    argv, message = {
+        "run-config-dir": (["run", "--config", str(folder), "--out", out],
+                           _os_error(errno.EISDIR, folder)),
+        "grid-configs-dir": (["grid", "--configs", str(folder), "--out", out],
+                             _os_error(errno.EISDIR, folder)),
+        "run-not-utf8": (["run", "--config", str(latin1), "--out", out],
+                         f"<file>: not valid JSON: {undecodable.value}"),
+        "gradcheck-not-utf8": (["gradcheck", "--config", str(latin1)],
+                               f"<file>: not valid JSON: {undecodable.value}"),
+        "run-out-under-a-file": (["run", "--config", str(cfg), "--out", str(file / "x")],
+                                 _os_error(errno.ENOTDIR, file / "x")),
+        "make-dataset-out-a-file": (["make-dataset", "--out", str(file), "--train", "4",
+                                     "--test", "2", "--rows", "4", "--cols", "4"],
+                                    _os_error(errno.EEXIST, file)),
+        "seed-env-not-an-integer": (["run", "--config", str(cfg), "--out", out],
+                                    "PLS_LAB_SEED: not an integer: 'abc'"),
+    }[case]
+    if case == "seed-env-not-an-integer":
+        monkeypatch.setenv("PLS_LAB_SEED", "abc")
+    else:
+        monkeypatch.delenv("PLS_LAB_SEED", raising=False)
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_exits_1_without_a_traceback(unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(pls_lab.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:  # print itself fails, not the flush
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        proc = subprocess.run([sys.executable, "-m", "pls_lab.cli", *T1_ARGV],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
 # --- the grid's pool of job interpreters ---
 
 
@@ -787,6 +855,15 @@ def test_grid_error_is_reported_alike_for_any_worker_count(workers, tmp_path, mo
     captured = capfd.readouterr()
     assert code == 2
     assert captured.err == f"error: problem.images: {GARBAGE_MAGIC}\n"
+
+
+def test_grid_job_that_dies_without_its_exception(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(runner, "_JOB_COMMAND", (sys.executable, "-c", "raise SystemExit(3)"))
+    paths = _quadratic_configs(tmp_path, [1, 2])
+    assert main(["grid", "--configs", *map(str, paths), "--out", str(tmp_path / "out"),
+                 "--workers", "2"]) == 2
+    message = f"grid job for {tmp_path / 'out' / 'q0'} exited with status 3"
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def _data_fault(root, fault):

@@ -223,6 +223,7 @@ class TestSimulation:
     def test_zero_start_stays_zero(self):
         report = simulate_system(Matrix2(1.0, 0.0, 0.0, 1.0), 10, np.zeros(2), 0.9)
         assert report.max_ratio == 0.0
+        assert simulate_factors([3.0] * 10, 0.0, 0.9) == DecayReport(0.0, None, None, False)
 
     def test_envelope_past_underflowing_rho_power(self):
         # rho^t reaches 0.0 near t = 65; the ratio must still be measured
