@@ -26,7 +26,7 @@ from .config import ExperimentConfig
 from .datasets import synthetic_digits
 from .errors import ConfigError, PlsLabError
 from .idx import write_idx
-from .runner import execute, gradcheck_report, run_grid
+from .runner import _run_in_interpreter, gradcheck_report, run_grid
 
 ENV_SEED = "PLS_LAB_SEED"
 
@@ -63,7 +63,7 @@ _JSON = json.JSONEncoder(indent=2, allow_nan=False)
 
 
 def _cmd_run(args) -> int:
-    summary = execute(_load_config(args), args.out)
+    summary = _run_in_interpreter(_load_config(args).to_dict(), args.out)
     print(_JSON.encode({k: summary[k] for k in (
         "diverged", "divergence_step", "steps_completed",
         "final_train_loss", "final_test_loss")}))
@@ -184,11 +184,14 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 def main(argv=None) -> int:
     global _PARSER
     _PARSER = _PARSER or build_parser()
-    args = _parse(sys.argv[1:] if argv is None else list(argv))
-    # looked up per call, so the cached parser holds no handler
-    handler = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        code = handler(args)
+        try:
+            args = _parse(sys.argv[1:] if argv is None else list(argv))
+        except SystemExit:  # after help or usage: a closed pipe fails here, not at exit
+            sys.stdout.flush()
+            raise
+        # looked up per call, so the cached parser holds no handler
+        code = globals()["_cmd_" + args.command.replace("-", "_")](args)
         sys.stdout.flush()  # a closed pipe fails here, not at exit
         return code
     except BrokenPipeError:  # the reader closed stdout (the Python docs' recipe)

@@ -20,8 +20,7 @@ of the objects below, picked by its ``kind``:
 
     {"kind": "fixed", "eta"}
     {"kind": "fixed-decay", "eta0"}
-    {"kind": "pls", "eta0", "eps1"?, "eps2"?, "decay"?, "per_group"?,
-     "allow_negative_eta0"?}
+    {"kind": "pls", "eta0", "eps1"?, "eps2"?, "decay"?, "per_group"?}
 
 Unknown keys are rejected everywhere. ``from_dict`` raises ConfigError
 with the offending key path, so CLI failures name the exact field.
@@ -104,7 +103,7 @@ def _check(value, tp, path: str, rule):
     return tp.from_dict(value, path + ".")  # a nested spec
 
 
-def _get(cls, name: str, d: dict, path: str, rule=None):
+def _get(cls, name: str, d: dict, path: str):
     """Field ``name`` of ``cls`` read from ``d``, or its default."""
     f = cls.__dataclass_fields__[name]
     if name not in d:
@@ -115,7 +114,7 @@ def _get(cls, name: str, d: dict, path: str, rule=None):
         raise ConfigError(path + name, "missing required key")
     if d[name] is None and f.metadata.get("nullable"):
         return None
-    return _check(d[name], f.type, path + name, f.metadata if rule is None else rule)
+    return _check(d[name], f.type, path + name, f.metadata)
 
 
 def _read(cls, d, path: str, keys=None, **values):
@@ -227,7 +226,7 @@ def _read_problem(d, path: str) -> QuadraticSpec | MlpSpec:
 _RATE_KEYS = {
     "fixed": {"kind", "eta"},
     "fixed-decay": {"kind", "eta0"},
-    "pls": {"kind", "eta0", "eps1", "eps2", "decay", "per_group", "allow_negative_eta0"},
+    "pls": {"kind", "eta0", "eps1", "eps2", "decay", "per_group"},
 }
 
 
@@ -240,27 +239,19 @@ class RateSpec:
     eps2: float = _field(0.01, positive=True)
     decay: str = _field("constant", choices=DECAY_MODES)
     per_group: bool = True
-    allow_negative_eta0: bool = False
 
     @classmethod
     def from_dict(cls, d: dict, path: str) -> "RateSpec":
         _object(d, path)
         kind = _get(cls, "kind", d, path)
-        # a pls base rate may be negative: its sign is checked below
-        given = {"eta0": _get(cls, "eta0", d, path, {})} if kind == "pls" else {}
-        spec = _read(cls, d, path, _RATE_KEYS[kind], **given)
+        spec = _read(cls, d, path, _RATE_KEYS[kind])
         base = "eta" if kind == "fixed" else "eta0"
         if getattr(spec, base) is None:
             raise ConfigError(path + base, "missing required key")
-        if kind == "pls" and spec.eta0 <= 0.0 and not spec.allow_negative_eta0:
-            raise ConfigError(path + "eta0", "must be positive unless allow_negative_eta0 is set")
         return spec
 
     def to_dict(self) -> dict:
-        out = _echo(self, _RATE_KEYS[self.kind])
-        if not self.allow_negative_eta0:
-            out.pop("allow_negative_eta0", None)
-        return out
+        return _echo(self, _RATE_KEYS[self.kind])
 
 
 @dataclass
@@ -311,10 +302,7 @@ class ExperimentConfig(_Spec):
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         if not isinstance(d, dict):
             raise ConfigError("<root>", "config must be a JSON object")
-        cfg = _read(cls, d, "")
-        if cfg.rate.kind == "pls" and cfg.rate.eta0 <= 0.0 and cfg.algorithm != "accsgd":
-            raise ConfigError("rate.eta0", "negative base rates are only supported for accsgd")
-        return cfg
+        return _read(cls, d, "")
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":

@@ -200,15 +200,9 @@ class PlsRate:
         eps1: float,
         eps2: float,
         decay: str = "constant",
-        allow_negative_eta0: bool = False,
     ):
-        if not np.isfinite(eta0):
-            raise ValueError("base step size must be finite")
-        if eta0 <= 0.0 and not allow_negative_eta0:
-            raise ValueError(
-                "base step size must be positive (negative rates are an "
-                "explicit experimental mode)"
-            )
+        if not np.isfinite(eta0) or eta0 <= 0.0:
+            raise ValueError("base step size must be positive and finite")
         self.groups = list(groups)
         self.estimators = [SmoothnessEstimator(eps1, eps2, eta0, decay) for _ in self.groups]
 

@@ -8,6 +8,11 @@ run's measured wall time goes only into the summary.
 Substreams of the run seed are fixed by key: 0 initializes parameters,
 1 samples batches (inside the run loop), 2 generates synthetic problem
 data, 3 shuffles for subset selection.
+
+Every training run the CLI starts (``run`` and each config of ``grid``)
+is a job: ``execute`` in a fresh interpreter with one BLAS and OpenMP
+thread, so a (config, seed) gives the same records however it was
+launched.
 """
 
 from __future__ import annotations
@@ -80,14 +85,7 @@ def build_rate_source(rate: RateSpec, partition):
     if rate.kind == "fixed-decay":
         return FixedDecayRate(rate.eta0)
     groups = list(partition) if rate.per_group else WHOLE
-    return PlsRate(
-        groups,
-        rate.eta0,
-        rate.eps1,
-        rate.eps2,
-        decay=rate.decay,
-        allow_negative_eta0=rate.allow_negative_eta0,
-    )
+    return PlsRate(groups, rate.eta0, rate.eps1, rate.eps2, decay=rate.decay)
 
 
 def _fmt(v) -> str:
@@ -188,8 +186,8 @@ _JOB_COMMAND = (sys.executable, "-c",
 
 
 def _run_job(out_dir: str) -> int:
-    """Body of a grid job's interpreter: run the config read as JSON from
-    stdin; on an error write the pickled exception to stdout and return 1."""
+    """Body of a job's interpreter: run the config read as JSON from stdin;
+    on an error write the pickled exception to stdout and return 1."""
     try:
         execute_config(json.load(sys.stdin), out_dir)
     except Exception as exc:
@@ -209,14 +207,15 @@ def _job_environment() -> dict:
                 PYTHONSAFEPATH="1", PYTHONPATH=os.pathsep.join([src, *caller]))
 
 
-def _run_in_interpreter(config_dict: dict, out_dir: str, env: dict) -> dict:
-    """Run one config in a fresh interpreter; re-raise the job's exception."""
+def _run_in_interpreter(config_dict: dict, out_dir: str) -> dict:
+    """Run one config as a job in a fresh interpreter and return its
+    summary; re-raise the job's exception."""
     proc = subprocess.run([*_JOB_COMMAND, out_dir], input=json.dumps(config_dict).encode(),
-                          env=env, stdout=subprocess.PIPE)
+                          env=_job_environment(), stdout=subprocess.PIPE)
     if proc.returncode == 1 and proc.stdout:
         raise pickle.loads(proc.stdout)
     if proc.returncode != 0:
-        raise ChildProcessError(f"grid job for {out_dir} exited with status {proc.returncode}")
+        raise ChildProcessError(f"job for {out_dir} exited with status {proc.returncode}")
     with open(Path(out_dir) / "summary.json") as fh:
         return json.load(fh)
 
@@ -225,10 +224,10 @@ def run_grid(config_paths, out_root, workers: int = 1) -> list[dict]:
     """Run several configs with isolated state and per-config output dirs.
 
     Each config writes to ``out_root/<file stem>``; two configs whose stems
-    clash are refused, like a bad config, before any run starts. With
-    ``workers > 1`` each config runs in its own interpreter with one BLAS
-    thread, at most ``workers`` at a time; all of them have ended when
-    this returns or raises the first failed config's exception.
+    clash are refused, like a bad config, before any run starts. Each
+    config runs as a job, in its own interpreter with one BLAS thread, at
+    most ``workers`` at a time; all of them have ended when this returns
+    or raises the first failed config's exception.
     """
     out_root = Path(out_root)
     jobs = []
@@ -241,11 +240,8 @@ def run_grid(config_paths, out_root, workers: int = 1) -> list[dict]:
             raise ConfigError(str(cfg_path), f"writes to {out}, as does {owners[out]}")
         owners[out] = cfg_path
         jobs.append((cfg.to_dict(), out))
-    if workers <= 1:
-        return [execute_config(d, out) for d, out in jobs]
-    env = _job_environment()
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_run_in_interpreter, d, out, env) for d, out in jobs]
+    with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
+        futures = [pool.submit(_run_in_interpreter, d, out) for d, out in jobs]
         return [f.result() for f in futures]
 
 

@@ -91,18 +91,14 @@ class TestValidation:
             ExperimentConfig.from_dict(cfg)
         assert exc.value.field == f"{block}.{key}"
 
-    def test_negative_base_rate_needs_flag_and_accsgd(self):
+    def test_negative_base_rate_is_refused(self):
         pls = {"kind": "pls", "eta0": -0.001}
-        with pytest.raises(ConfigError):
-            ExperimentConfig.from_dict(quadratic_config(rate=pls))
-        flagged = {"kind": "pls", "eta0": -0.001, "allow_negative_eta0": True}
-        with pytest.raises(ConfigError) as exc:
-            ExperimentConfig.from_dict(quadratic_config(rate=flagged))
-        assert exc.value.field == "rate.eta0"
-        ok = ExperimentConfig.from_dict(
-            quadratic_config(rate=flagged, algorithm="accsgd")
-        )
-        assert ok.rate.eta0 == -0.001
+        flagged = {**pls, "allow_negative_eta0": True}  # the key is gone
+        for algorithm in ("sgd", "amsgrad", "accsgd"):
+            with pytest.raises(ConfigError, match="^rate.eta0: must be positive, got -0.001$"):
+                ExperimentConfig.from_dict(quadratic_config(rate=pls, algorithm=algorithm))
+            with pytest.raises(ConfigError, match="^rate.allow_negative_eta0: unknown key$"):
+                ExperimentConfig.from_dict(quadratic_config(rate=flagged, algorithm=algorithm))
 
     def test_accsgd_xi_bound(self):
         with pytest.raises(ConfigError) as exc:

@@ -241,8 +241,6 @@ class TestRateSources:
     def test_pls_negative_base_rate_gated(self):
         with pytest.raises(ValueError):
             PlsRate([(0, 2)], -0.001, 0.01, 0.01)
-        src = PlsRate([(0, 2)], -0.001, 0.01, 0.01, allow_negative_eta0=True)
-        assert [est.eta0 for est in src.estimators] == [-0.001]
 
     def test_pls_per_group_readings(self):
         src = PlsRate([(0, 2), (2, 4)], 0.01, 1e-8, 1e-8)

@@ -761,20 +761,32 @@ def test_input_faults_exit_2_with_one_error_line(case, tmp_path, monkeypatch, ca
     assert sorted(tmp_path.rglob("*")) == before
 
 
-@pytest.mark.parametrize("unbuffered", [False, True])
-def test_closed_stdout_exits_1_without_a_traceback(unbuffered):
+def _cli_into_closed_stdout(argv, unbuffered):
+    """The exit status and stderr of ``python -m pls_lab.cli *argv`` whose
+    stdout is a pipe with its read end closed."""
     read_end, write_end = os.pipe()
     os.close(read_end)
     env = dict(os.environ, PYTHONPATH=str(Path(pls_lab.__file__).parents[1]))
     env.pop("PYTHONUNBUFFERED", None)
-    if unbuffered:  # print itself fails, not the flush
+    if unbuffered:  # the write itself fails, not the flush
         env["PYTHONUNBUFFERED"] = "1"
     try:
-        proc = subprocess.run([sys.executable, "-m", "pls_lab.cli", *T1_ARGV],
+        proc = subprocess.run([sys.executable, "-m", "pls_lab.cli", *argv],
                               stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
     finally:
         os.close(write_end)
-    assert (proc.returncode, proc.stderr) == (1, b"")
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_exits_1_without_a_traceback(unbuffered):
+    assert _cli_into_closed_stdout(T1_ARGV, unbuffered) == (1, b"")
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["stability", "t1", "-h"]], ids=" ".join)
+def test_help_into_closed_stdout_exits_1_without_a_traceback(argv):
+    # buffered only: unbuffered, argparse drops the failed write and exits 0
+    assert _cli_into_closed_stdout(argv, unbuffered=False) == (1, b"")
 
 
 # --- the grid's pool of job interpreters ---
@@ -862,7 +874,10 @@ def test_grid_job_that_dies_without_its_exception(tmp_path, monkeypatch, capsys)
     paths = _quadratic_configs(tmp_path, [1, 2])
     assert main(["grid", "--configs", *map(str, paths), "--out", str(tmp_path / "out"),
                  "--workers", "2"]) == 2
-    message = f"grid job for {tmp_path / 'out' / 'q0'} exited with status 3"
+    message = f"job for {tmp_path / 'out' / 'q0'} exited with status 3"
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert main(["run", "--config", str(paths[0]), "--out", str(tmp_path / "run")]) == 2
+    message = f"job for {tmp_path / 'run'} exited with status 3"
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
@@ -968,21 +983,27 @@ def test_grid_leaves_no_process_running(tmp_path, monkeypatch):
     assert _children() == []
 
 
-def _assert_parallel_matches_serial(config_paths, out_root):
+def _assert_launches_agree(config_paths, out_root):
+    """Each config gives the same records.csv and summary.json (but for its
+    wall time) through ``run``, ``grid --workers 1`` and ``grid --workers 2``."""
+    for path in config_paths:
+        assert main(["run", "--config", str(path),
+                     "--out", str(out_root / "run" / Path(path).stem)]) == 0
     for workers in ("1", "2"):
         assert main(["grid", "--configs", *map(str, config_paths),
                      "--out", str(out_root / workers), "--workers", workers]) == 0
     for path in config_paths:
-        serial, parallel = (out_root / w / Path(path).stem for w in ("1", "2"))
-        assert (serial / "records.csv").read_bytes() == (parallel / "records.csv").read_bytes()
-        summaries = [json.loads((d / "summary.json").read_text()) for d in (serial, parallel)]
+        dirs = [out_root / launch / Path(path).stem for launch in ("run", "1", "2")]
+        records = {(d / "records.csv").read_bytes() for d in dirs}
+        assert len(records) == 1
+        summaries = [json.loads((d / "summary.json").read_text()) for d in dirs]
         for summary in summaries:
             del summary["wall_ms_total"]
-        assert summaries[0] == summaries[1]
+        assert summaries[0] == summaries[1] == summaries[2]
 
 
 def test_parallel_grid_matches_serial_on_the_quadratic(tmp_path, capsys):
-    _assert_parallel_matches_serial([CONFIGS / "quadratic.json"], tmp_path)
+    _assert_launches_agree([CONFIGS / "quadratic.json"], tmp_path)
 
 
 def test_parallel_grid_matches_serial_on_a_small_net(tmp_path, capsys):
@@ -997,4 +1018,17 @@ def test_parallel_grid_matches_serial_on_a_small_net(tmp_path, capsys):
                                         limit=150, extra={"test_every": 10})
         paths.append(tmp_path / f"{algorithm}.json")
         paths[-1].write_text(json.dumps(cfg))
-    _assert_parallel_matches_serial(paths, tmp_path / "out")
+    _assert_launches_agree(paths, tmp_path / "out")
+
+
+def test_launches_agree_where_the_blas_thread_count_shows(tmp_path, capsys):
+    # on a multi-core host a 784-64-32-10 net at batch 100 gives other
+    # records at the BLAS default thread count than at one thread
+    data = tmp_path / "data"
+    assert main(["make-dataset", "--out", str(data), "--train", "200", "--test", "50",
+                 "--seed", "3"]) == 0
+    cfg = mlp_classification_config(data, layers=[784, 64, 32, 10], steps=3, seed=1,
+                                    rate={"kind": "fixed", "eta": 0.01}, batch_size=100)
+    path = tmp_path / "sgd.json"
+    path.write_text(json.dumps(cfg))
+    _assert_launches_agree([path], tmp_path / "out")
