@@ -36,6 +36,5 @@ from .problems import (
     glorot_init,
 )
 from .rng import SeededRng
-from .smoothness import SmoothnessEstimator
 
 __version__ = "0.1.0"

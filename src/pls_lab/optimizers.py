@@ -14,14 +14,16 @@ nothing the size of a group per step and give the same bits.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DivergenceError
 from .linalg import BLOCK, blocks
 from .rng import SeededRng
-from .smoothness import SmoothnessEstimator
+from .smoothness import BAD_GRADIENT, DECAY_MODES, predict
 
 ALGORITHMS = ("sgd", "amsgrad", "accsgd")
 BETA1_SCHEDULES = ("constant", "over_t")  # AmsgradState's beta1_schedule
@@ -187,28 +189,48 @@ class FixedDecayRate:
 
 
 class PlsRate:
-    """Step sizes from per-group smoothness prediction.
+    """Step sizes from per-group smoothness prediction (``smoothness``).
 
-    One estimator per parameter group (pass a single full-range group for
-    the global mode).
+    Holds one (prev_x, prev_g) history per parameter group (a single
+    full-range group is the global mode), None before the first call,
+    which has nothing to difference and returns the bootstrap pair
+    (eta0, 0.0), not eta0/eps2, which could be orders of magnitude larger.
+    Under "sqrt_t" later rates are damped by the run loop's step t.
     """
 
-    def __init__(
-        self,
-        groups: list[tuple[int, int]],
-        eta0: float,
-        eps1: float,
-        eps2: float,
-        decay: str = "constant",
-    ):
+    def __init__(self, groups: list[tuple[int, int]], eta0: float, eps1: float, eps2: float,
+                 decay: str = "constant"):
         if not np.isfinite(eta0) or eta0 <= 0.0:
             raise ValueError("base step size must be positive and finite")
+        if eps1 <= 0.0 or eps2 <= 0.0:
+            raise ValueError("eps1 and eps2 must be positive")
+        if decay not in DECAY_MODES:
+            raise ValueError(f"decay must be one of {DECAY_MODES}")
         self.groups = list(groups)
-        self.estimators = [SmoothnessEstimator(eps1, eps2, eta0, decay) for _ in self.groups]
+        self.eta0 = float(eta0)
+        self.eps1 = float(eps1)
+        self.eps2 = float(eps2)
+        self.decay = decay
+        self.history: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(self.groups)
 
     def rates(self, t, x, g):
-        return [est.predict(x[lo:hi], g[lo:hi])
-                for (lo, hi), est in zip(self.groups, self.estimators)]
+        out = []
+        for k, (lo, hi) in enumerate(self.groups):
+            xs, gs = x[lo:hi], g[lo:hi]
+            if xs.shape != gs.shape:
+                raise ValueError("iterate and gradient must have the same shape")
+            if self.history[k] is None:
+                if not np.all(np.isfinite(gs)):
+                    raise DivergenceError(BAD_GRADIENT)
+                self.history[k] = (np.array(xs, dtype=np.float64), np.array(gs, dtype=np.float64))
+                out.append((self.eta0, 0.0))
+                continue
+            l_hat = predict(*self.history[k], xs, gs, self.eps1)
+            eta = self.eta0 / (l_hat + self.eps2)
+            if self.decay == "sqrt_t":
+                eta /= math.sqrt(t)
+            out.append((eta, l_hat))
+        return out
 
 
 @dataclass

@@ -119,9 +119,14 @@ def write_records_csv(path, records: list[TrainRecord], n_groups: int) -> None:
 
 
 def execute(cfg: ExperimentConfig, out_dir) -> dict:
-    """Run one experiment; write records.csv and summary.json under out_dir."""
-    problem, x0, test_fn = build_problem(cfg)  # bad data fails before anything is written
+    """Run one experiment into out_dir, refused first if it holds a run's
+    files; write records.csv, then summary.json through a temp file and
+    os.replace, so that a summary means the run ended."""
     out_dir = Path(out_dir)
+    for name in ("records.csv", "summary.json"):
+        if (out_dir / name).exists():
+            raise FileExistsError(f"{out_dir / name} exists: a run does not overwrite a run")
+    problem, x0, test_fn = build_problem(cfg)  # bad data fails before anything is written
     out_dir.mkdir(parents=True, exist_ok=True)
     rate_source = build_rate_source(cfg.rate, problem.layer_partition)
     n_groups = len(rate_source.groups)
@@ -170,9 +175,11 @@ def execute(cfg: ExperimentConfig, out_dir) -> dict:
         "wall_ms_total": result.wall_ms,
         "records_csv": "records.csv",
     })
-    with open(out_dir / "summary.json", "w") as fh:
+    partial = out_dir / "summary.json.partial"
+    with open(partial, "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
+    os.replace(partial, out_dir / "summary.json")
     return summary
 
 

@@ -1,6 +1,6 @@
 """Oracles and reference code that the tests share and the library does not need.
 
-The reference updates and estimator are the library's earlier whole-array
+The reference updates and rate are the library's earlier whole-array
 expressions, the reference permutation, digit generator and envelope
 simulations its earlier per-step loops; the library's blocked, in-place
 and chunked versions must match them bit for bit.
@@ -14,9 +14,8 @@ import numpy as np
 
 from pls_lab.errors import DivergenceError
 from pls_lab.linalg import cond2
-from pls_lab.optimizers import VHAT_FLOOR, run_optimizer
+from pls_lab.optimizers import VHAT_FLOOR, PlsRate, run_optimizer
 from pls_lab.rng import SeededRng
-from pls_lab.smoothness import SmoothnessEstimator
 from pls_lab.stability import DecayReport, _Envelope
 
 
@@ -81,31 +80,30 @@ def accsgd_step(m, x, g, eta, alpha, a, b):
     x += b * m
 
 
-class ReferenceEstimator(SmoothnessEstimator):
-    """The estimator with fresh differences and a finiteness scan of the
-    gradient and of each difference on every call."""
+class ReferenceEstimator(PlsRate):
+    """The rate with fresh differences and a finiteness scan of each
+    group's gradient and of each difference on every call."""
 
-    def predict(self, x, g):
-        if x.shape != g.shape:
-            raise ValueError("iterate and gradient must have the same shape")
-        if self.prev_x is not None and x.shape != self.prev_x.shape:
-            raise ValueError("dimension changed between updates")
-        if not np.all(np.isfinite(g)):
-            raise DivergenceError("non-finite gradient in smoothness update")
-        self.t += 1
-        if self.prev_x is None:
-            self.prev_x = x.copy()
-            self.prev_g = g.copy()
-            return self.eta0, 0.0
-        g_diff = l2_norm(g - self.prev_g)
-        x_diff = l2_norm(x - self.prev_x)
-        l_hat = g_diff / (x_diff + self.eps1)
-        self.prev_x = x.copy()
-        self.prev_g = g.copy()
-        eta = self.eta0 / (l_hat + self.eps2)
-        if self.decay == "sqrt_t":
-            eta /= math.sqrt(self.t)
-        return eta, l_hat
+    def rates(self, t, x, g):
+        out = []
+        for k, (lo, hi) in enumerate(self.groups):
+            xs, gs = x[lo:hi], g[lo:hi]
+            if xs.shape != gs.shape:
+                raise ValueError("iterate and gradient must have the same shape")
+            if not np.all(np.isfinite(gs)):
+                raise DivergenceError("non-finite gradient in smoothness update")
+            if self.history[k] is None:
+                self.history[k] = (xs.copy(), gs.copy())
+                out.append((self.eta0, 0.0))
+                continue
+            prev_x, prev_g = self.history[k]
+            l_hat = l2_norm(gs - prev_g) / (l2_norm(xs - prev_x) + self.eps1)
+            self.history[k] = (xs.copy(), gs.copy())
+            eta = self.eta0 / (l_hat + self.eps2)
+            if self.decay == "sqrt_t":
+                eta /= math.sqrt(t)
+            out.append((eta, l_hat))
+        return out
 
 
 def run_with_iterates(obj, algorithm, rate_source, **kwargs):

@@ -291,8 +291,7 @@ class TestRunOptimizer:
         kw = dict(steps=40, seed=4, x0=np.ones(prob.d), batch_size=4)
         for algo in ("sgd", "amsgrad", "accsgd"):
             pinned = PlsRate(prob.layer_partition, eta0, 0.01, eps2)
-            for est in pinned.estimators:
-                est.predict = lambda x, g: pair
+            pinned.rates = lambda t, x, g: [pair]  # one group
             ra = run_optimizer(prob, algo, pinned, **kw)
             rb = run_optimizer(prob, algo, FixedRate(eta_fixed), **kw)
             npt.assert_array_equal(ra.x_final, rb.x_final)
@@ -308,8 +307,7 @@ class TestRunOptimizer:
         kw = dict(steps=30, seed=6, x0=np.ones(prob.d), batch_size=3)
         for algo in ("sgd", "amsgrad", "accsgd"):
             grouped = PlsRate([(0, 2), (2, 4)], 0.01, 0.01, 0.01)
-            for est, eta in zip(grouped.estimators, (e1, e2)):
-                est.predict = lambda x, g, r=(eta, 1.0): r
+            grouped.rates = lambda t, x, g: [(e1, 1.0), (e2, 1.0)]
             rg = run_optimizer(prob, algo, grouped, **kw)
             r1 = run_optimizer(prob, algo, FixedRate(e1), **kw)
             r2 = run_optimizer(prob, algo, FixedRate(e2), **kw)
@@ -391,15 +389,19 @@ class TestRunOptimizer:
 def test_pls_descent_stalls_at_an_eps1_sized_distance(curvature):
     """c05's quadratic over 400 steps: once the displacement is far below
     eps1, L-hat ~ L * ||dx|| / eps1 collapses and the rate grows, so the
-    iterate hovers about eps1 / 6 from x*, while a fixed rate reaches it."""
+    iterate hovers about eps1 / 6 from x*, while a fixed rate reaches it.
+    The accelerated update holds 0.168-0.174 * eps1 down to eps1 = 1e-6;
+    below that, and under AMSGrad, no band holds."""
     prob = QuadraticProblem.random(4, 10, curvature, 1.0, SeededRng(3))
     x0 = prob.x_star + np.full(4, 0.8)
-    for eps1 in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10):
-        res, xs = run_with_iterates(prob, "sgd", PlsRate(prob.layer_partition, 0.5, eps1, 1e-8),
+    cells = [("sgd", eps1, 0.1, 0.3) for eps1 in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10)]
+    cells += [("accsgd", eps1, 0.16, 0.18) for eps1 in (1e-2, 1e-4, 1e-6)]
+    for algo, eps1, lo, hi in cells:
+        res, xs = run_with_iterates(prob, algo, PlsRate(prob.layer_partition, 0.5, eps1, 1e-8),
                                     steps=400, seed=1, x0=x0, batch_size=prob.n)
         assert not res.diverged
         dist = np.linalg.norm(xs[300:] - prob.x_star, axis=1)
-        assert np.all((0.1 * eps1 <= dist) & (dist <= 0.3 * eps1)), (eps1, dist.min(), dist.max())
+        assert np.all((lo * eps1 <= dist) & (dist <= hi * eps1)), (algo, eps1, dist.min(), dist.max())
     if curvature == 1.0:  # eta L = 0.5: a fixed rate inside the window
         res, xs = run_with_iterates(prob, "sgd", FixedRate(0.5), steps=400, seed=1, x0=x0,
                                     batch_size=prob.n)

@@ -125,6 +125,24 @@ class TestExecute:
             summary = strict_json((tmp_path / name / "summary.json").read_text())
             assert summary[field] in (None, [None])
 
+    @pytest.mark.parametrize("held", ["records.csv", "summary.json"])
+    def test_refuses_a_directory_that_holds_a_run(self, held, tmp_path, monkeypatch):
+        (tmp_path / held).write_text("an earlier run\n")
+        monkeypatch.setattr(runner, "build_problem", None)  # the refusal comes first
+        with pytest.raises(FileExistsError, match=f"^{tmp_path / held} exists"):
+            execute_config(quadratic_pls_config(steps=5), tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == [held]
+
+    def test_failed_summary_replace_leaves_no_summary(self, tmp_path, monkeypatch):
+        def fail(src, dst):
+            raise OSError(errno.EIO, "replace failed")
+
+        monkeypatch.setattr(runner.os, "replace", fail)
+        with pytest.raises(OSError, match="replace failed"):
+            execute_config(quadratic_pls_config(steps=5), tmp_path)
+        assert (tmp_path / "records.csv").exists()
+        assert not (tmp_path / "summary.json").exists()
+
     def test_divergent_run_flagged_rows_truncated(self, tmp_path):
         cfg_dict = quadratic_pls_config(steps=100, curvature=4.0)
         cfg_dict["rate"] = {"kind": "fixed", "eta": 1.0}
@@ -783,10 +801,36 @@ def test_closed_stdout_exits_1_without_a_traceback(unbuffered):
     assert _cli_into_closed_stdout(T1_ARGV, unbuffered) == (1, b"")
 
 
-@pytest.mark.parametrize("argv", [["-h"], ["stability", "t1", "-h"]], ids=" ".join)
-def test_help_into_closed_stdout_exits_1_without_a_traceback(argv):
-    # buffered only: unbuffered, argparse drops the failed write and exits 0
-    assert _cli_into_closed_stdout(argv, unbuffered=False) == (1, b"")
+@pytest.mark.parametrize("argv, unbuffered", [
+    pytest.param(argv, unbuffered, id=" ".join(argv) + ("-unbuffered" if unbuffered else ""))
+    for unbuffered in (False, True) for argv in (["-h"], ["stability", "t1", "-h"])])
+def test_help_into_closed_stdout_exits_1_without_a_traceback(argv, unbuffered):
+    assert _cli_into_closed_stdout(argv, unbuffered) == (1, b"")
+
+
+def test_a_run_into_a_used_out_exits_2_and_keeps_the_first_run(tmp_path, capsys):
+    cfg = tmp_path / "q.json"
+    cfg.write_text(json.dumps(quadratic_pls_config(steps=5)))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--seed", "1"]) == 0
+    first = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--seed", "2"]) == 2
+    message = f"{out / 'records.csv'} exists: a run does not overwrite a run"
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+
+
+def test_a_grid_into_a_used_root_exits_2(tmp_path, capsys):
+    paths = _quadratic_configs(tmp_path, (3, 4))
+    root = tmp_path / "out"
+    assert main(["grid", "--configs", *map(str, paths), "--out", str(root)]) == 0
+    first = {p: p.read_bytes() for p in root.rglob("*.*")}
+    capsys.readouterr()
+    assert main(["grid", "--configs", *map(str, paths), "--out", str(root)]) == 2
+    message = f"{root / 'q0' / 'records.csv'} exists: a run does not overwrite a run"
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert {p: p.read_bytes() for p in root.rglob("*.*")} == first
 
 
 # --- the grid's pool of job interpreters ---

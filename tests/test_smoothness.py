@@ -5,9 +5,9 @@ import numpy.testing as npt
 import pytest
 
 from pls_lab.errors import DivergenceError
-from pls_lab.rng import SeededRng
 from pls_lab.linalg import BLOCK
-from pls_lab.smoothness import SmoothnessEstimator
+from pls_lab.optimizers import WHOLE, PlsRate
+from pls_lab.rng import SeededRng
 from pls_lab.stability import sgd_rate_window
 
 from _oracles import ReferenceEstimator, base_rate_admissible
@@ -15,132 +15,146 @@ from _oracles import ReferenceEstimator, base_rate_admissible
 TINY = 1e-300  # effectively-zero denominator guard for exact-ratio checks
 
 
+def whole(eps1, eps2, eta0, decay="constant", cls=PlsRate):
+    """A one-group rate over the whole vector."""
+    return cls(WHOLE, eta0, eps1, eps2, decay)
+
+
+def read(rate, t, x, g):
+    """The (eta, l_hat) reading of a one-group rate at step t."""
+    (pair,) = rate.rates(t, x, g)
+    return pair
+
+
 class TestPredict:
     def test_bootstrap_reading(self):
-        est = SmoothnessEstimator(0.01, 0.01, eta0=0.5)
-        assert est.predict(np.array([1.0, 2.0]), np.array([0.1, 0.2])) == (0.5, 0.0)
-        assert est.t == 1
+        rate = PlsRate([(0, 2), (2, 4)], 0.5, 0.01, 0.01)
+        x, g = np.array([1.0, 2.0, 3.0, 4.0]), np.array([0.1, 0.2, 0.3, 0.4])
+        assert rate.rates(1, x, g) == [(0.5, 0.0), (0.5, 0.0)]
+        assert [h[0].tolist() for h in rate.history] == [[1.0, 2.0], [3.0, 4.0]]
 
     def test_norm_ratio(self):
-        est = SmoothnessEstimator(TINY, 0.01, eta0=1.0)
-        est.predict(np.array([0.0, 0.0]), np.array([0.0, 0.0]))
-        _, l_hat = est.predict(np.array([1.0, 0.0]), np.array([3.0, 4.0]))
+        rate = whole(TINY, 0.01, eta0=1.0)
+        read(rate, 1, np.array([0.0, 0.0]), np.array([0.0, 0.0]))
+        _, l_hat = read(rate, 2, np.array([1.0, 0.0]), np.array([3.0, 4.0]))
         npt.assert_allclose(l_hat, 5.0, rtol=1e-15)
 
     def test_stationary_point_reads_zero(self):
-        est = SmoothnessEstimator(0.01, 0.01, eta0=0.001)
+        rate = whole(0.01, 0.01, eta0=0.001)
         x, g = np.array([1.0, -1.0]), np.array([0.5, 0.5])
-        est.predict(x, g)
-        eta, l_hat = est.predict(x.copy(), g.copy())
+        read(rate, 1, x, g)
+        eta, l_hat = read(rate, 2, x.copy(), g.copy())
         assert l_hat == 0.0
         npt.assert_allclose(eta, 0.001 / 0.01)  # the eta0/eps2 cap
 
     def test_scalar_quadratic_two_steps(self):
         # curvature 2: gradients 2x; move 1 -> 0.9
-        est = SmoothnessEstimator(1e-8, 0.01, eta0=1.0)
-        est.predict(np.array([1.0]), np.array([2.0]))
-        _, l_hat = est.predict(np.array([0.9]), np.array([1.8]))
+        rate = whole(1e-8, 0.01, eta0=1.0)
+        read(rate, 1, np.array([1.0]), np.array([2.0]))
+        _, l_hat = read(rate, 2, np.array([0.9]), np.array([1.8]))
         npt.assert_allclose(l_hat, 2.0, atol=1e-6)
 
     def test_exact_ratio_against_curvature(self):
         # after the bootstrap, |l_hat - c*r/(r + eps1)| stays at float noise
         c, eps1 = 3.0, 1e-8
-        est = SmoothnessEstimator(eps1, 0.01, eta0=1.0)
+        rate = whole(eps1, 0.01, eta0=1.0)
         rng = SeededRng(5)
         x_prev = rng.uniform_array(4, -1, 1)
-        est.predict(x_prev, c * x_prev)
+        read(rate, 1, x_prev, c * x_prev)
         x = rng.uniform_array(4, -1, 1)
-        _, l_hat = est.predict(x, c * x)
+        _, l_hat = read(rate, 2, x, c * x)
         dist = float(np.linalg.norm(x - x_prev))
         npt.assert_allclose(l_hat, c * dist / (dist + eps1), atol=1e-12)
 
     def test_scale_covariance(self):
         def run(scale):
-            est = SmoothnessEstimator(TINY, 0.01, eta0=1.0)
-            est.predict(scale * np.array([0.0, 1.0]), scale * np.array([1.0, 1.0]))
-            return est.predict(
-                scale * np.array([0.5, 0.2]), scale * np.array([-1.0, 2.0])
-            )[1]
+            rate = whole(TINY, 0.01, eta0=1.0)
+            read(rate, 1, scale * np.array([0.0, 1.0]), scale * np.array([1.0, 1.0]))
+            return read(rate, 2, scale * np.array([0.5, 0.2]), scale * np.array([-1.0, 2.0]))[1]
 
         npt.assert_allclose(run(1.0), run(7.25), rtol=1e-12)
 
     def test_state_update_and_counter(self):
-        est = SmoothnessEstimator(0.01, 0.01, eta0=1.0)
+        # the history holds the last call's arrays, and sqrt_t damps by
+        # the step counter it is given, not by a count of its own calls
+        rate = whole(TINY, 1.0, eta0=3.0, decay="sqrt_t")
         for t in range(1, 5):
-            est.predict(np.full(2, float(t)), np.full(2, -float(t)))
-            assert est.t == t
-        npt.assert_array_equal(est.prev_x, np.full(2, 4.0))
+            read(rate, t, np.full(2, float(t)), np.full(2, -float(t)))
+        npt.assert_array_equal(rate.history[0][0], np.full(2, 4.0))
+        npt.assert_array_equal(rate.history[0][1], np.full(2, -4.0))
+        eta, l_hat = read(rate, 9, np.full(2, 5.0), np.full(2, -2.0))
+        npt.assert_allclose((eta, l_hat), (1.0 / 3.0, 2.0))
 
     def test_dimension_mismatch_rejected(self):
-        est = SmoothnessEstimator(0.01, 0.01, eta0=1.0)
-        est.predict(np.zeros(3), np.zeros(3))
+        rate = whole(0.01, 0.01, eta0=1.0)
+        read(rate, 1, np.zeros(3), np.zeros(3))
         with pytest.raises(ValueError):
-            est.predict(np.zeros(2), np.zeros(2))
-        with pytest.raises(ValueError):
-            est.predict(np.zeros(3), np.zeros(2))
+            read(rate, 2, np.zeros(2), np.zeros(2))
+        with pytest.raises(ValueError, match="^iterate and gradient must have the same shape$"):
+            read(rate, 2, np.zeros(3), np.zeros(2))
 
     def test_non_finite_gradient_rejected(self):
-        est = SmoothnessEstimator(0.01, 0.01, eta0=1.0)
-        with pytest.raises(DivergenceError):
-            est.predict(np.zeros(2), np.array([np.inf, 0.0]))
+        rate = whole(0.01, 0.01, eta0=1.0)
+        with pytest.raises(DivergenceError, match="^non-finite gradient in smoothness update$"):
+            read(rate, 1, np.zeros(2), np.array([np.inf, 0.0]))
 
     @pytest.mark.parametrize("n", [1, 7, 3 * BLOCK + 17])
     @pytest.mark.parametrize("decay", ["constant", "sqrt_t"])
     def test_readings_match_the_reference_over_50_calls(self, n, decay):
-        est = SmoothnessEstimator(0.01, 0.01, eta0=0.002, decay=decay)
-        ref = ReferenceEstimator(0.01, 0.01, eta0=0.002, decay=decay)
+        groups = [(0, n // 2 + 1), (n // 2 + 1, n + 2)]
+        rate = PlsRate(groups, 0.002, 0.01, 0.01, decay=decay)
+        ref = ReferenceEstimator(groups, 0.002, 0.01, 0.01, decay=decay)
         rng = np.random.default_rng(n)
-        x = rng.standard_normal(n)
-        for _ in range(50):
+        x = rng.standard_normal(n + 2)
+        for t in range(1, 51):
             scale = 10.0 ** rng.integers(-6, 3)
-            g = scale * rng.standard_normal(n + 2)[1:-1]  # a view, as in a run
-            assert est.predict(x, g) == ref.predict(x, g)
-            assert est.t == ref.t
-            assert est.prev_x.tobytes() == ref.prev_x.tobytes()
-            assert est.prev_g.tobytes() == ref.prev_g.tobytes()
-            x = x - scale * 1e-3 * rng.standard_normal(n)
+            g = scale * rng.standard_normal(n + 4)[1:-1]  # a view, as in a run
+            assert rate.rates(t, x, g) == ref.rates(t, x, g)
+            for h, h_ref in zip(rate.history, ref.history):
+                assert [a.tobytes() for a in h] == [a.tobytes() for a in h_ref]
+            x = x - scale * 1e-3 * rng.standard_normal(n + 2)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_gradient_after_the_first_call(self, bad):
-        for est in (SmoothnessEstimator(0.01, 0.01, 1.0), ReferenceEstimator(0.01, 0.01, 1.0)):
-            est.predict(np.zeros(3), np.ones(3))
+        for rate in (whole(0.01, 0.01, 1.0), whole(0.01, 0.01, 1.0, cls=ReferenceEstimator)):
+            read(rate, 1, np.zeros(3), np.ones(3))
             with pytest.raises(DivergenceError,
                                match="^non-finite gradient in smoothness update$"):
-                est.predict(np.ones(3), np.array([1.0, bad, 1.0]))
+                read(rate, 2, np.ones(3), np.array([1.0, bad, 1.0]))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("which", [0, 1])  # the iterate's or the gradient's difference
     def test_overflowing_difference(self, which):
         big = np.array([0.0, 1.7e308])
-        for est in (SmoothnessEstimator(0.01, 0.01, 1.0), ReferenceEstimator(0.01, 0.01, 1.0)):
-            est.predict(big, big)
+        for rate in (whole(0.01, 0.01, 1.0), whole(0.01, 0.01, 1.0, cls=ReferenceEstimator)):
+            read(rate, 1, big, big)
             pair = [big, big]
             pair[which] = -big  # finite entries whose difference is -inf
             with pytest.raises(DivergenceError, match="^non-finite entry in vector$"):
-                est.predict(*pair)
+                read(rate, 2, *pair)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_sum_of_finite_squares(self):
         # every entry of the difference is finite, its sum of squares is not:
         # the prediction is l_hat = inf with a zero step, as in the reference
-        for est in (SmoothnessEstimator(0.01, 0.01, 1.0), ReferenceEstimator(0.01, 0.01, 1.0)):
-            est.predict(np.zeros(2), np.zeros(2))
-            assert est.predict(np.ones(2), np.full(2, 1e200)) == (0.0, math.inf)
+        for rate in (whole(0.01, 0.01, 1.0), whole(0.01, 0.01, 1.0, cls=ReferenceEstimator)):
+            read(rate, 1, np.zeros(2), np.zeros(2))
+            assert read(rate, 2, np.ones(2), np.full(2, 1e200)) == (0.0, math.inf)
 
     def test_guards_must_be_positive(self):
         with pytest.raises(ValueError):
-            SmoothnessEstimator(0.0, 0.01, eta0=1.0)
+            whole(0.0, 0.01, eta0=1.0)
         with pytest.raises(ValueError):
-            SmoothnessEstimator(0.01, 0.0, eta0=1.0)
+            whole(0.01, 0.0, eta0=1.0)
 
 
 def rate_at(l_hat, eta0, eps2, decay="constant", t=2):
-    """The step size of an estimator whose t-th prediction reads l_hat: the
-    iterate moves by 1 each call and the gradient by l_hat on the last."""
-    est = SmoothnessEstimator(TINY, eps2, eta0, decay)
-    for k in range(t - 1):
-        est.predict(np.array([float(k)]), np.array([0.0]))
-    eta, got = est.predict(np.array([float(t - 1)]), np.array([l_hat]))
+    """The step size of a rate whose reading at step t is l_hat: the
+    iterate moves by 1 each step and the gradient by l_hat on the last."""
+    rate = whole(TINY, eps2, eta0, decay)
+    for k in range(1, t):
+        read(rate, k, np.array([float(k - 1)]), np.array([0.0]))
+    eta, got = read(rate, t, np.array([float(t - 1)]), np.array([l_hat]))
     npt.assert_allclose(got, l_hat, rtol=1e-15)
     return eta
 
@@ -173,15 +187,15 @@ class TestAdaptiveRate:
         # a ratio of norms: differences of either sign predict l_hat >= 0,
         # and a negative guard, the other way to a denominator below l_hat,
         # is refused
-        est = SmoothnessEstimator(TINY, 0.01, eta0=1.0)
-        est.predict(np.array([1.0, -1.0]), np.array([2.0, 3.0]))
-        assert est.predict(np.array([-1.0, 1.0]), np.array([-2.0, -3.0]))[1] >= 0.0
+        rate = whole(TINY, 0.01, eta0=1.0)
+        read(rate, 1, np.array([1.0, -1.0]), np.array([2.0, 3.0]))
+        assert read(rate, 2, np.array([-1.0, 1.0]), np.array([-2.0, -3.0]))[1] >= 0.0
         with pytest.raises(ValueError):
-            SmoothnessEstimator(0.01, -0.01, eta0=1.0)
+            whole(0.01, -0.01, eta0=1.0)
 
     def test_unknown_decay_rejected(self):
         with pytest.raises(ValueError):
-            SmoothnessEstimator(0.01, 0.01, eta0=1.0, decay="linear")
+            whole(0.01, 0.01, eta0=1.0, decay="linear")
 
 
 class TestBaseRateWindow:
