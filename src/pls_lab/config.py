@@ -33,7 +33,7 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from typing import get_args, get_origin
 
 from .errors import ConfigError
-from .optimizers import ACCSGD_M0, ALGORITHMS, BETA1_SCHEDULES
+from .optimizers import ALGORITHMS
 from .smoothness import DECAY_MODES
 
 RATE_KINDS = ("fixed", "fixed-decay", "pls")
@@ -258,7 +258,6 @@ class RateSpec:
 class AmsgradSpec(_Spec):
     beta1: float = _field(0.9, positive=True)
     beta2: float = _field(0.999, positive=True)
-    beta1_schedule: str = _field("constant", choices=BETA1_SCHEDULES)
 
     @classmethod
     def from_dict(cls, d: dict, path: str) -> "AmsgradSpec":
@@ -273,7 +272,6 @@ class AmsgradSpec(_Spec):
 class AccsgdSpec(_Spec):
     kappa: float = _field(1000.0, positive=True)
     xi: float = _field(10.0, positive=True)
-    m0: str = _field("x0", choices=ACCSGD_M0)
 
     @classmethod
     def from_dict(cls, d: dict, path: str) -> "AccsgdSpec":
@@ -294,7 +292,7 @@ class ExperimentConfig(_Spec):
     seed: int
     batch_size: int = _field(100, positive=True)
     test_every: int = _field(50, positive=True)
-    limit: int | None = _field(None, positive=True, nullable=True)  # training-subset cap
+    limit: int | None = _field(None, positive=True, nullable=True)  # MLP training-subset cap
     amsgrad: AmsgradSpec = field(default_factory=AmsgradSpec)
     accsgd: AccsgdSpec = field(default_factory=AccsgdSpec)
 
@@ -302,7 +300,10 @@ class ExperimentConfig(_Spec):
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         if not isinstance(d, dict):
             raise ConfigError("<root>", "config must be a JSON object")
-        return _read(cls, d, "")
+        cfg = _read(cls, d, "")
+        if cfg.limit is not None and isinstance(cfg.problem, QuadraticSpec):
+            raise ConfigError("limit", "a quadratic problem has no training split to limit")
+        return cfg
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":

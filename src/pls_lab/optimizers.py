@@ -26,8 +26,6 @@ from .rng import SeededRng
 from .smoothness import BAD_GRADIENT, DECAY_MODES, predict
 
 ALGORITHMS = ("sgd", "amsgrad", "accsgd")
-BETA1_SCHEDULES = ("constant", "over_t")  # AmsgradState's beta1_schedule
-ACCSGD_M0 = ("x0", "zero")  # AccsgdState.from_params's m0
 
 # Runs halt once the batch loss exceeds this or anything goes non-finite.
 LOSS_CAP = 1e12
@@ -55,38 +53,30 @@ class AmsgradState:
 
     One step is
 
-        m <- b1t * m + (1-b1t) * g
+        m <- beta1 * m + (1-beta1) * g
         v <- beta2 * v + (1-beta2) * (g * g)
         vhat <- max(v, vhat)
         x <- x - eta * (m / max(sqrt(vhat), VHAT_FLOOR))
 
     The running max never decreases, so the effective per-coordinate step
-    scale never grows. beta1 may decay as beta1/t (schedule "over_t"); the
-    constant schedule is the practical default.
+    scale never grows.
     """
 
-    def __init__(self, dim: int, beta1: float = 0.9, beta2: float = 0.999,
-                 beta1_schedule: str = "constant"):
+    def __init__(self, dim: int, beta1: float = 0.9, beta2: float = 0.999):
         if not 0.0 < beta1 < 1.0 or not 0.0 < beta2 < 1.0:
             raise ValueError("beta1 and beta2 must lie in (0, 1)")
-        if beta1_schedule not in BETA1_SCHEDULES:
-            raise ValueError("beta1_schedule must be 'constant' or 'over_t'")
         self.m = np.zeros(dim)
         self.v = np.zeros(dim)
         self.vhat = np.zeros(dim)
         self.beta1 = beta1
         self.beta2 = beta2
-        self.beta1_schedule = beta1_schedule
-        self.t = 0
         self._blocks = blocks(dim, np.empty(min(dim, BLOCK)))
 
     def step(self, x: np.ndarray, g: np.ndarray, eta: float) -> None:
-        self.t += 1
-        b1t = self.beta1 / self.t if self.beta1_schedule == "over_t" else self.beta1
-        beta2, c1, c2 = self.beta2, 1.0 - b1t, 1.0 - self.beta2
+        beta1, beta2, c1, c2 = self.beta1, self.beta2, 1.0 - self.beta1, 1.0 - self.beta2
         for s, w in self._blocks:  # scalar products commuted: same bits
             m, v, vhat, xs, gs = self.m[s], self.v[s], self.vhat[s], x[s], g[s]
-            m *= b1t
+            m *= beta1
             np.multiply(gs, c1, out=w)
             m += w
             v *= beta2
@@ -124,8 +114,8 @@ class AccsgdState:
         m <- alpha * m + (1-alpha) * (x - a * eta * g)
         x <- (1-b) * (x - eta * g) + b * m
 
-    With m started at x, a zero gradient is a true fixed point; starting
-    at zero instead is available for literal-fidelity comparisons.
+    The run loop starts m at the group's x0, so a zero gradient is a true
+    fixed point.
     """
 
     def __init__(self, m: np.ndarray, alpha: float, a: float, b: float):
@@ -134,14 +124,6 @@ class AccsgdState:
         self.a = a
         self.b = b
         self._blocks = blocks(self.m.size, np.empty(min(self.m.size, BLOCK)))
-
-    @classmethod
-    def from_params(cls, kappa: float, xi: float, x0: np.ndarray,
-                    m0: str = "x0") -> "AccsgdState":
-        alpha, a, b = accsgd_coefficients(kappa, xi)
-        if m0 not in ACCSGD_M0:
-            raise ValueError("m0 must be 'x0' or 'zero'")
-        return cls(x0 if m0 == "x0" else np.zeros_like(x0), alpha, a, b)
 
     def step(self, x: np.ndarray, g: np.ndarray, eta: float) -> None:
         alpha, b, a_eta = self.alpha, self.b, self.a * eta
@@ -225,7 +207,10 @@ class PlsRate:
                 self.history[k] = (np.array(xs, dtype=np.float64), np.array(gs, dtype=np.float64))
                 out.append((self.eta0, 0.0))
                 continue
-            l_hat = predict(*self.history[k], xs, gs, self.eps1)
+            prev_x, prev_g = self.history[k]
+            if xs.shape != prev_x.shape:
+                raise ValueError(f"group {k} has {xs.size} entries, its history {prev_x.size}")
+            l_hat = predict(prev_x, prev_g, xs, gs, self.eps1)
             eta = self.eta0 / (l_hat + self.eps2)
             if self.decay == "sqrt_t":
                 eta /= math.sqrt(t)
@@ -275,10 +260,8 @@ def run_optimizer(
     batch_size: int = 100,
     beta1: float = 0.9,
     beta2: float = 0.999,
-    beta1_schedule: str = "constant",
     kappa: float = 1000.0,
     xi: float = 10.0,
-    accsgd_m0: str = "x0",
     test_fn=None,
     test_every: int = 50,
 ) -> RunResult:
@@ -305,9 +288,10 @@ def run_optimizer(
     if algorithm == "sgd":
         updates = [sgd_step] * len(slices)
     elif algorithm == "amsgrad":
-        updates = [AmsgradState(x[s].size, beta1, beta2, beta1_schedule).step for s in slices]
+        updates = [AmsgradState(x[s].size, beta1, beta2).step for s in slices]
     else:
-        updates = [AccsgdState.from_params(kappa, xi, x[s], m0=accsgd_m0).step for s in slices]
+        coefficients = accsgd_coefficients(kappa, xi)
+        updates = [AccsgdState(x[s], *coefficients).step for s in slices]
 
     batch_rng = SeededRng(seed).spawn(BATCH_STREAM)
     full_batch = np.arange(obj.n)

@@ -75,6 +75,9 @@ def build_problem(cfg: ExperimentConfig):
     if spec.test_images is not None and (spec.labels is None or spec.test_labels is not None):
         test_inputs, test_targets = load_split(
             spec.test_images, spec.test_labels, spec.num_classes, "test_")
+        if test_inputs.shape[1] != spec.layers[0]:
+            raise ConfigError("problem.test_images", f"first layer size {spec.layers[0]} "
+                              f"!= data width {test_inputs.shape[1]}")
         test_fn = MlpLsrProblem(spec.layers, test_inputs, test_targets, l2=0.0).full_value
     return problem, x0, test_fn
 
@@ -141,10 +144,8 @@ def execute(cfg: ExperimentConfig, out_dir) -> dict:
         batch_size=cfg.batch_size,
         beta1=cfg.amsgrad.beta1,
         beta2=cfg.amsgrad.beta2,
-        beta1_schedule=cfg.amsgrad.beta1_schedule,
         kappa=cfg.accsgd.kappa,
         xi=cfg.accsgd.xi,
-        accsgd_m0=cfg.accsgd.m0,
         test_fn=test_fn,
         test_every=cfg.test_every,
     )

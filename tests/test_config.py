@@ -100,6 +100,17 @@ class TestValidation:
             with pytest.raises(ConfigError, match="^rate.allow_negative_eta0: unknown key$"):
                 ExperimentConfig.from_dict(quadratic_config(rate=flagged, algorithm=algorithm))
 
+    @pytest.mark.parametrize("block, key, value", [
+        ("amsgrad", "beta1_schedule", "constant"), ("amsgrad", "beta1_schedule", "over_t"),
+        ("accsgd", "m0", "x0"), ("accsgd", "m0", "zero"),
+    ])
+    def test_removed_optimizer_options_are_refused(self, block, key, value):
+        # one value of each was ever run; it is the only behaviour now
+        for algorithm in ("sgd", "amsgrad", "accsgd"):
+            with pytest.raises(ConfigError, match=f"^{block}.{key}: unknown key$"):
+                ExperimentConfig.from_dict(
+                    quadratic_config(algorithm=algorithm, **{block: {key: value}}))
+
     def test_accsgd_xi_bound(self):
         with pytest.raises(ConfigError) as exc:
             ExperimentConfig.from_dict(quadratic_config(accsgd={"kappa": 4.0, "xi": 3.0}))
@@ -145,7 +156,6 @@ class TestValidation:
                     "l2": 1e-4,
                 },
                 algorithm="amsgrad",
-                amsgrad={"beta1_schedule": "over_t"},
             )
         )
         echo = cfg.to_dict()

@@ -164,6 +164,21 @@ class TestDataset:
         assert (exc.value.field, str(exc.value)) == (
             "problem.layers", "problem.layers: first layer size 3 != data width 2")
 
+    def test_test_split_must_match_the_first_layer(self, tmp_path):
+        train, labels = _write(tmp_path, np.zeros((4, 8, 8)), [0, 1, 0, 1])
+        write_idx(tmp_path / "ti.idx", np.zeros((3, 7, 7), dtype=np.uint8))
+        write_idx(tmp_path / "tl.idx", np.zeros(3, dtype=np.uint8))
+        cfg = ExperimentConfig.from_dict({
+            "problem": {"kind": "mlp-classification", "layers": [64, 16, 10],
+                        "images": str(train), "labels": str(labels),
+                        "test_images": str(tmp_path / "ti.idx"),
+                        "test_labels": str(tmp_path / "tl.idx")},
+            "algorithm": "sgd", "rate": {"kind": "fixed", "eta": 0.1}, "steps": 1, "seed": 3})
+        with pytest.raises(ConfigError) as exc:
+            build_problem(cfg)
+        assert (exc.value.field, str(exc.value)) == (
+            "problem.test_images", "problem.test_images: first layer size 64 != data width 49")
+
     def test_subset_is_seeded_shuffle_prefix(self, tmp_path):
         s1 = _build(tmp_path, 4)
         s2 = _build(tmp_path, 4)

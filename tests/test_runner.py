@@ -260,8 +260,7 @@ class TestExecute:
             limit=80,
             batch_size=20,
             algorithm="amsgrad",
-            extra={"amsgrad": {"beta1": 0.9, "beta2": 0.999,
-                               "beta1_schedule": "over_t"}},
+            extra={"amsgrad": {"beta1": 0.9, "beta2": 0.999}},
         )
         execute_config(cfg_dict, tmp_path)
         header, rows = read_csv(tmp_path / "records.csv")
@@ -690,6 +689,15 @@ class TestCli:
             assert captured.out == "" and not out.exists()
         assert main(["run", "--config", str(cfg_path), "--out", str(out), "--limit", "40"]) == 0
         assert json.loads((out / "summary.json").read_text())["config"]["limit"] == 40
+
+    def test_run_limit_flag_on_a_quadratic_is_refused(self, tmp_path, capsys):
+        # a quadratic has no training split; the limit would be echoed and ignored
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(CONFIGS / "quadratic.json"), "--out", str(out),
+                     "--limit", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: limit: a quadratic problem has no training split to limit\n"
+        assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("points", ["0", "-3"])
     def test_gradcheck_refuses_to_check_no_point(self, points, tmp_path, capsys):

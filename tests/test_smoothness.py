@@ -92,6 +92,11 @@ class TestPredict:
             read(rate, 2, np.zeros(2), np.zeros(2))
         with pytest.raises(ValueError, match="^iterate and gradient must have the same shape$"):
             read(rate, 2, np.zeros(3), np.zeros(2))
+        # a 1-entry slice would broadcast against the 3-entry history
+        with pytest.raises(ValueError, match="^group 0 has 1 entries, its history 3$"):
+            read(rate, 2, np.ones(1), np.ones(1))
+        npt.assert_array_equal(rate.history[0][0], np.zeros(3))
+        npt.assert_array_equal(rate.history[0][1], np.zeros(3))
 
     def test_non_finite_gradient_rejected(self):
         rate = whole(0.01, 0.01, eta0=1.0)
