@@ -13,7 +13,7 @@ of the objects below, picked by its ``kind``:
     {"kind": "quadratic", "dim", "curvature" | "curvatures",
      "n_samples", "center_scale"?, "x0_scale"?}
     {"kind": "mlp-classification", "layers", "images", "labels",
-     "test_images"?, "test_labels"?, "l2"?, "num_classes"?}
+     ("test_images", "test_labels")?, "l2"?, "num_classes"?}
     {"kind": "mlp-reconstruction", "layers", "images", "test_images"?, "l2"?}
 
 ``rate`` is a step-size source, also picked by its ``kind``:
@@ -197,6 +197,9 @@ class MlpSpec:
         if spec.kind == "mlp-classification":
             if spec.labels is None:
                 raise ConfigError(path + "labels", "missing required key")
+            for have, need in (("test_images", "test_labels"), ("test_labels", "test_images")):
+                if getattr(spec, have) is not None and getattr(spec, need) is None:
+                    raise ConfigError(path + need, f"missing required key: {have} is set")
             if spec.layers[-1] != spec.num_classes:
                 raise ConfigError(
                     path + "layers",

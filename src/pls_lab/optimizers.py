@@ -178,6 +178,10 @@ class PlsRate:
     which has nothing to difference and returns the bootstrap pair
     (eta0, 0.0), not eta0/eps2, which could be orders of magnitude larger.
     Under "sqrt_t" later rates are damped by the run loop's step t.
+
+    A history copies the group's iterate but keeps the float64 gradient
+    slice it was handed, which the next call overwrites with the
+    difference: a caller hands a fresh gradient to every call.
     """
 
     def __init__(self, groups: list[tuple[int, int]], eta0: float, eps1: float, eps2: float,
@@ -204,13 +208,14 @@ class PlsRate:
             if self.history[k] is None:
                 if not np.all(np.isfinite(gs)):
                     raise DivergenceError(BAD_GRADIENT)
-                self.history[k] = (np.array(xs, dtype=np.float64), np.array(gs, dtype=np.float64))
+                self.history[k] = (np.array(xs, dtype=np.float64), gs)
                 out.append((self.eta0, 0.0))
                 continue
             prev_x, prev_g = self.history[k]
             if xs.shape != prev_x.shape:
                 raise ValueError(f"group {k} has {xs.size} entries, its history {prev_x.size}")
             l_hat = predict(prev_x, prev_g, xs, gs, self.eps1)
+            self.history[k] = (prev_x, gs)
             eta = self.eta0 / (l_hat + self.eps2)
             if self.decay == "sqrt_t":
                 eta /= math.sqrt(t)
@@ -275,6 +280,9 @@ def run_optimizer(
     raising) when the batch loss exceeds LOSS_CAP or anything becomes
     non-finite; the last record carries the diverged flag. Identical
     (config, seed) pairs produce identical trajectories.
+
+    Each step's gradient is a fresh array, handed to the rate source
+    once: it may keep and overwrite it (``PlsRate``).
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"algorithm must be one of {ALGORITHMS}")

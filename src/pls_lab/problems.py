@@ -151,16 +151,24 @@ class MlpLsrProblem:
             out.append((x[start:split].reshape(n_in, n_out), x[split:end]))
         return out
 
-    def _forward(self, x: np.ndarray, idx: np.ndarray):
-        layers = self.unpack(x)
-        a = self.inputs[idx]
-        activations = [a]
-        last = len(layers) - 1
-        for l, (w, b) in enumerate(layers):
-            z = a @ w + b
-            a = np.maximum(z, 0.0) if l < last else z
-            activations.append(a)
-        return activations
+    def _samples(self, batch):
+        """(inputs, targets) of an index batch; None reads every sample in place."""
+        if batch is None:
+            return self.inputs, self.targets
+        idx = _check_batch(batch, self.n)
+        return self.inputs[idx], self.targets[idx]
+
+    def _forward(self, x: np.ndarray, a: np.ndarray):
+        """Each layer's activation on the input rows a, in order: the IEEE
+        operations of ``a @ w + b`` and ``np.maximum(z, 0.0)`` (not on the
+        output), in place. A caller keeping only the latest holds one layer's."""
+        last = len(self._spans) - 1
+        for l, (w, b) in enumerate(self.unpack(x)):
+            a = a @ w
+            a += b
+            if l < last:
+                np.maximum(a, 0.0, out=a)
+            yield a
 
     def _reg_value(self, x: np.ndarray) -> float:
         if self.l2 == 0.0:
@@ -168,24 +176,27 @@ class MlpLsrProblem:
         return 0.5 * self.l2 * sum(float(np.sum(w * w)) for w, _ in self.unpack(x))
 
     def data_value(self, x, batch) -> float:
-        """Mean squared-error term alone, without the regularizer."""
-        idx = _check_batch(batch, self.n)
-        err = self._forward(x, idx)[-1] - self.targets[idx]
-        return float(0.5 * np.sum(err * err) / idx.size)
+        """Mean squared-error term alone, without the regularizer; a batch
+        of None is every sample."""
+        inputs, targets = self._samples(batch)
+        for out in self._forward(x, inputs):
+            pass
+        err = out - targets
+        return float(0.5 * np.sum(err * err) / len(inputs))
 
     def value(self, x, batch) -> float:
         return self.data_value(x, batch) + self._reg_value(x)
 
     def value_and_grad(self, x, batch):
-        idx = _check_batch(batch, self.n)
-        activations = self._forward(x, idx)
-        err = activations[-1] - self.targets[idx]
-        loss = float(0.5 * np.sum(err * err) / idx.size) + self._reg_value(x)
+        inputs, targets = self._samples(batch)
+        activations = [inputs, *self._forward(x, inputs)]  # backprop reads every layer's
+        err = activations[-1] - targets
+        loss = float(0.5 * np.sum(err * err) / len(inputs)) + self._reg_value(x)
 
         layers = self.unpack(x)
         g = np.empty_like(x)
         g_layers = self.unpack(g)
-        delta = err / idx.size
+        delta = err / len(inputs)
         for l in range(len(layers) - 1, -1, -1):
             w, _ = layers[l]
             gw, gb = g_layers[l]
@@ -207,7 +218,7 @@ class MlpLsrProblem:
         return self.value_and_grad(x, batch)[1]
 
     def full_value(self, x) -> float:
-        return self.value(x, np.arange(self.n))
+        return self.value(x, None)
 
 
 def glorot_init(layer_sizes: Sequence[int], rng: SeededRng) -> np.ndarray:

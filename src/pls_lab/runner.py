@@ -71,8 +71,7 @@ def build_problem(cfg: ExperimentConfig):
     x0 = glorot_init(spec.layers, root.spawn(INIT_STREAM))
 
     test_fn = None
-    # a reconstruction test split is its images; a classification one needs labels too
-    if spec.test_images is not None and (spec.labels is None or spec.test_labels is not None):
+    if spec.test_images is not None:  # a classification config has test_labels too
         test_inputs, test_targets = load_split(
             spec.test_images, spec.test_labels, spec.num_classes, "test_")
         if test_inputs.shape[1] != spec.layers[0]:
@@ -155,7 +154,7 @@ def execute(cfg: ExperimentConfig, out_dir) -> dict:
     last = result.records[-1]
     if not result.diverged:
         if isinstance(problem, MlpLsrProblem):  # one pass: value is data_value + _reg_value
-            final_raw = problem.data_value(result.x_final, np.arange(problem.n))
+            final_raw = problem.data_value(result.x_final, None)  # every sample, in place
             final_train = final_raw + problem._reg_value(result.x_final)
         else:
             final_train = final_raw = problem.full_value(result.x_final)
@@ -234,9 +233,11 @@ def run_grid(config_paths, out_root, workers: int = 1) -> list[dict]:
     Each config writes to ``out_root/<file stem>``; two configs whose stems
     clash are refused, like a bad config, before any run starts. Each
     config runs as a job, in its own interpreter with one BLAS thread, at
-    most ``workers`` at a time; all of them have ended when this returns
-    or raises the first failed config's exception.
+    most ``workers`` (at least 1) at a time; all of them have ended when
+    this returns or raises the first failed config's exception.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     out_root = Path(out_root)
     jobs = []
     owners = {}
@@ -248,7 +249,7 @@ def run_grid(config_paths, out_root, workers: int = 1) -> list[dict]:
             raise ConfigError(str(cfg_path), f"writes to {out}, as does {owners[out]}")
         owners[out] = cfg_path
         jobs.append((cfg.to_dict(), out))
-    with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_run_in_interpreter, d, out) for d, out in jobs]
         return [f.result() for f in futures]
 

@@ -27,12 +27,12 @@ BAD_GRADIENT = "non-finite gradient in smoothness update"
 def predict(prev_x: np.ndarray, prev_g: np.ndarray, x: np.ndarray, g: np.ndarray,
             eps1: float) -> float:
     """The predicted smoothness at (x, g) of a group whose previous iterate
-    and gradient are in the buffers prev_x and prev_g; leaves (x, g) in
-    them for the next call.
+    and gradient are prev_x and prev_g.
 
-    The differences are taken in place in the buffers, so a prediction
-    allocates nothing the size of the group; a DivergenceError leaves the
-    buffers spent.
+    The differences are taken in place, so a prediction allocates
+    nothing the size of the group: prev_g is left holding prev_g - g (the
+    caller keeps g as the next prev_g), and prev_x a copy of x; a
+    DivergenceError leaves both buffers spent.
     """
     # prev - new is the negated difference: the same squares, so the
     # same norms as ||new - prev||, sqrt(dot) as np.linalg.norm takes it
@@ -48,5 +48,4 @@ def predict(prev_x: np.ndarray, prev_g: np.ndarray, x: np.ndarray, g: np.ndarray
         if not (np.all(np.isfinite(dg)) and np.all(np.isfinite(dx))):
             raise DivergenceError("non-finite entry in vector")
     np.copyto(prev_x, x)
-    np.copyto(prev_g, g)
     return g_diff / (x_diff + eps1)

@@ -1,9 +1,10 @@
 """Oracles and reference code that the tests share and the library does not need.
 
-The reference updates and rate are the library's earlier whole-array
-expressions, the reference permutation, digit generator and envelope
-simulations its earlier per-step loops; the library's blocked, in-place
-and chunked versions must match them bit for bit.
+The reference updates, rate and MLP forward pass are the library's
+earlier whole-array expressions, the reference permutation, digit
+generator and envelope simulations its earlier per-step loops; the
+library's blocked, in-place and chunked versions must match them bit
+for bit.
 """
 
 import json
@@ -57,6 +58,42 @@ def exact_smoothness(problem) -> float:
 def full_grad(problem, x: np.ndarray) -> np.ndarray:
     """Full gradient of a QuadraticProblem at x."""
     return problem.diag * (x - problem.centers.mean(axis=0))
+
+
+def mlp_forward(problem, x, idx):
+    """Every activation of an MlpLsrProblem on the samples idx, input
+    first: a gather by index, then ``a @ w + b`` and ``np.maximum(z, 0.0)``
+    per layer (no ReLU on the output), each a fresh array."""
+    layers = problem.unpack(x)
+    a = problem.inputs[idx]
+    activations = [a]
+    for l, (w, b) in enumerate(layers):
+        z = a @ w + b
+        a = np.maximum(z, 0.0) if l < len(layers) - 1 else z
+        activations.append(a)
+    return activations
+
+
+def mlp_value_and_grad(problem, x, idx):
+    """(data term, loss, gradient) of an MlpLsrProblem on the samples idx,
+    from mlp_forward and backprop on whole arrays."""
+    idx = np.asarray(idx, dtype=np.int64)
+    activations = mlp_forward(problem, x, idx)
+    err = activations[-1] - problem.targets[idx]
+    data = float(0.5 * np.sum(err * err) / idx.size)
+    layers = problem.unpack(x)
+    reg = 0.5 * problem.l2 * sum(float(np.sum(w * w)) for w, _ in layers) if problem.l2 else 0.0
+    g = np.empty_like(x)
+    delta = err / idx.size
+    for l in range(len(layers) - 1, -1, -1):
+        (w, _), (gw, gb) = layers[l], problem.unpack(g)[l]
+        np.matmul(activations[l].T, delta, out=gw)
+        if problem.l2:
+            gw += problem.l2 * w
+        np.sum(delta, axis=0, out=gb)
+        if l > 0:
+            delta = (delta @ w.T) * (activations[l] > 0.0)
+    return data, data + reg, g
 
 
 def amsgrad_step(m, v, vhat, x, g, eta, b1t, beta2):

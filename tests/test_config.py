@@ -153,6 +153,7 @@ class TestValidation:
                     "images": "i.idx",
                     "labels": "l.idx",
                     "test_images": "ti.idx",
+                    "test_labels": "tl.idx",
                     "l2": 1e-4,
                 },
                 algorithm="amsgrad",
@@ -195,6 +196,17 @@ def _without(block, key, **overrides):
     pytest.param(quadratic_config(problem={"kind": "mlp-classification", "layers": [4, 3, 10],
                                            "images": "i.idx"}),
                  "problem.labels", "missing required key", id="no-labels"),
+    # half a test split would be echoed and never evaluated
+    pytest.param(quadratic_config(problem={"kind": "mlp-classification", "layers": [4, 3, 10],
+                                           "images": "i.idx", "labels": "l.idx",
+                                           "test_images": "ti.idx"}),
+                 "problem.test_labels", "missing required key: test_images is set",
+                 id="no-test-labels"),
+    pytest.param(quadratic_config(problem={"kind": "mlp-classification", "layers": [4, 3, 10],
+                                           "images": "i.idx", "labels": "l.idx",
+                                           "test_labels": "tl.idx"}),
+                 "problem.test_images", "missing required key: test_labels is set",
+                 id="no-test-images"),
     pytest.param(_without("rate", "eta"), "rate.eta", "missing required key", id="fixed-no-eta"),
     pytest.param(quadratic_config(rate={"kind": "fixed-decay"}), "rate.eta0",
                  "missing required key", id="fixed-decay-no-eta0"),

@@ -197,16 +197,44 @@ def test_steady_state_step_allocates_less_than_one_group():
         g = rng.standard_normal(n)
         (eta, _), = src.rates(1, x, g)
         update(x, g, eta)
-    g = rng.standard_normal(n)
+    grads = [rng.standard_normal(n) for _ in updates]  # the rate keeps each one
     tracemalloc.start()
     try:
-        for t, update in enumerate(updates, start=2):
+        for t, (update, g) in enumerate(zip(updates, grads), start=2):
             (eta, _), = src.rates(t, x, g)
             update(x, g, eta)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < x.nbytes
+
+
+def test_pls_history_keeps_the_gradient_it_was_handed():
+    # the bootstrap copies each group's iterate but not its gradient; a
+    # later call writes the difference into the previous gradient, keeps
+    # the new one and allocates less than one block
+    n = 392_500
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal(n)
+    grads = [rng.standard_normal(n) for _ in range(4)]
+    src = PlsRate([(0, n // 3), (n // 3, n)], 0.001, 0.01, 0.01)
+    tracemalloc.start()
+    try:
+        src.rates(1, x, grads[0])
+        held, _ = tracemalloc.get_traced_memory()
+        for t in (2, 3, 4):
+            prev = grads[t - 2].copy()
+            x -= 1e-3 * grads[t - 2]
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            src.rates(t, x, grads[t - 1])
+            _, peak = tracemalloc.get_traced_memory()
+            assert peak - before < BLOCK * 8
+            assert np.array_equal(grads[t - 2], prev - grads[t - 1])
+            assert all(np.shares_memory(h[1], grads[t - 1]) for h in src.history)
+    finally:
+        tracemalloc.stop()
+    assert x.nbytes <= held < x.nbytes + BLOCK * 8
 
 
 class TestRateSources:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -11,7 +13,7 @@ from pls_lab.problems import (
 )
 from pls_lab.rng import SeededRng
 
-from _oracles import exact_smoothness, full_grad
+from _oracles import exact_smoothness, full_grad, mlp_value_and_grad
 
 
 def make_quadratic(seed=1, dim=4, n=12, curvature=2.0):
@@ -111,8 +113,9 @@ def small_mlp(seed=7, l2=0.0):
 class TestMlp:
     def test_zero_weights_zero_input_gives_zero_activations(self):
         prob = MlpLsrProblem([3, 4, 2], np.zeros((2, 3)), np.zeros((2, 2)))
-        acts = prob._forward(np.zeros(prob.d), np.arange(2))
-        for a in acts[1:]:
+        acts = list(prob._forward(np.zeros(prob.d), prob.inputs))
+        assert len(acts) == 2
+        for a in acts:
             npt.assert_array_equal(a, np.zeros_like(a))
         assert prob.full_value(np.zeros(prob.d)) == 0.0
 
@@ -193,6 +196,58 @@ class TestMlp:
             MlpLsrProblem([3, 2], np.zeros((2, 3)), np.zeros((3, 2)))
         with pytest.raises(ValueError):
             MlpLsrProblem([3, 2], np.zeros((2, 3)), np.zeros((2, 2)), l2=-1.0)
+
+
+def oracle_cases():
+    """(problem, x) cases: l2 on and off, and a reconstruction net whose
+    targets are its inputs."""
+    rng = SeededRng(21)
+    inputs = rng.uniform_array(70 * 64).reshape(70, 64)
+    targets = rng.uniform_array(70 * 10).reshape(70, 10)
+    for name, layers, tgt, l2 in (("classification", [64, 48, 32, 10], targets, 0.0),
+                                  ("classification-l2", [64, 48, 32, 10], targets, 1e-3),
+                                  ("reconstruction-l2", [64, 24, 64], inputs, 1e-4)):
+        prob = MlpLsrProblem(layers, inputs, tgt, l2=l2)
+        yield pytest.param(prob, glorot_init(layers, rng.spawn(len(layers))), id=name)
+
+
+class TestForwardOracle:
+    """The passes read every sample in place, keep one layer's activations
+    where they can, and give the bits of the whole-array forward."""
+
+    @pytest.mark.parametrize("prob, x", oracle_cases())
+    @pytest.mark.parametrize("batch", ["random", "one", "every"])
+    def test_bits_match_the_whole_array_forward(self, prob, x, batch):
+        idx = {"random": SeededRng(5).index_array(25, prob.n), "one": np.array([17]),
+               "every": np.arange(prob.n)}[batch]
+        data, loss, grad = mlp_value_and_grad(prob, x, idx)
+        got_loss, got_grad = prob.value_and_grad(x, idx)
+        assert (got_loss, got_grad.tobytes()) == (loss, grad.tobytes())
+        assert prob.data_value(x, idx) == data
+        assert prob.value(x, idx) == loss
+        if batch == "every":
+            assert prob.data_value(x, None) == data
+            assert prob.full_value(x) == loss
+            got_loss, got_grad = prob.value_and_grad(x, None)
+            assert (got_loss, got_grad.tobytes()) == (loss, grad.tobytes())
+
+    def test_a_full_pass_holds_one_layer_at_a_time(self):
+        # 784-500-500-10 on 1000 samples: a hidden layer's output is 4 MB;
+        # a gathered copy of the inputs and every activation kept is 22 MB
+        layers, n = [784, 500, 500, 10], 1000
+        rng = SeededRng(8)
+        prob = MlpLsrProblem(layers, rng.uniform_array(n * 784).reshape(n, 784),
+                             rng.uniform_array(n * 10).reshape(n, 10), l2=1e-4)
+        x = glorot_init(layers, rng.spawn(1))
+        layer_bytes = n * 500 * 8
+        for full_pass in (prob.full_value, lambda x: prob.data_value(x, None)):
+            tracemalloc.start()
+            try:
+                full_pass(x)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 2.5 * layer_bytes
 
 
 class TestGlorotInit:

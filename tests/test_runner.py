@@ -188,10 +188,10 @@ class TestExecute:
         full_passes = []
         forward = MlpLsrProblem._forward
 
-        def counting(problem, x, idx):
-            if len(idx) == problem.n == 120:  # the training split, not a batch or the test split
-                full_passes.append(1)
-            return forward(problem, x, idx)
+        def counting(problem, x, a):
+            if len(a) == problem.n == 120:  # the training split, not a batch or the test split
+                full_passes.append(a is problem.inputs)  # read in place
+            return forward(problem, x, a)
 
         monkeypatch.setattr(MlpLsrProblem, "_forward", counting)
         cfg_dict = mlp_classification_config(
@@ -201,7 +201,7 @@ class TestExecute:
         )
         summary = execute_config(cfg_dict, tmp_path)
         # the initial record's loss, then the final loss with its raw part
-        assert len(full_passes) == 2
+        assert full_passes == [True, True]
         assert summary["final_train_loss_raw"] < summary["final_train_loss"]
 
     # test passes at 0, 2, 4; a run of 5 steps then tests x_final once more
@@ -709,6 +709,18 @@ class TestCli:
         assert captured.err == f"error: points must be at least 1, got {points}\n"
         with pytest.raises(ValueError, match="points must be at least 1"):
             gradcheck_report(ExperimentConfig.load(cfg_path), n_points=int(points))
+
+    @pytest.mark.parametrize("workers", ["0", "-5"])
+    def test_grid_refuses_fewer_than_one_worker(self, workers, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(quadratic_pls_config(steps=0)))
+        out = tmp_path / "o"
+        assert main(["grid", "--configs", str(cfg_path), "--out", str(out),
+                     "--workers", workers]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: workers must be at least 1, got {workers}\n"
+        assert not out.exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.json"),

@@ -130,11 +130,13 @@ class TestPredict:
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("which", [0, 1])  # the iterate's or the gradient's difference
     def test_overflowing_difference(self, which):
-        big = np.array([0.0, 1.7e308])
+        def big():  # a fresh array per call: the rate keeps the gradient it is handed
+            return np.array([0.0, 1.7e308])
+
         for rate in (whole(0.01, 0.01, 1.0), whole(0.01, 0.01, 1.0, cls=ReferenceEstimator)):
-            read(rate, 1, big, big)
-            pair = [big, big]
-            pair[which] = -big  # finite entries whose difference is -inf
+            read(rate, 1, big(), big())
+            pair = [big(), big()]
+            pair[which] = -pair[which]  # finite entries whose difference is -inf
             with pytest.raises(DivergenceError, match="^non-finite entry in vector$"):
                 read(rate, 2, *pair)
 
