@@ -239,9 +239,9 @@ class TrainRecord:
 class RunResult:
     """The log of a run and where it ended.
 
-    ``x_final`` is the last iterate; after a divergence found in the
-    iterate it holds that non-finite iterate. ``wall_ms`` times the whole
-    run, initial evaluation included.
+    ``x_final`` is the last iterate, in the run's ``x0`` array; after a
+    divergence found in the iterate it holds that non-finite iterate.
+    ``wall_ms`` times the whole run, initial evaluation included.
     """
 
     records: list[TrainRecord]
@@ -276,13 +276,18 @@ def run_optimizer(
     step applies the group's scalar step size in place to its slice of
     the iterate. Batches of ``batch_size`` indices are sampled IID per
     draw from the run seed's batch substream; a batch size of at least n
-    means the exact full-sum gradient. The run halts early (without
-    raising) when the batch loss exceeds LOSS_CAP or anything becomes
-    non-finite; the last record carries the diverged flag. Identical
-    (config, seed) pairs produce identical trajectories.
+    means the exact full-sum gradient, on the batch None (every sample,
+    read in place). The run halts early (without raising) when the batch
+    loss exceeds LOSS_CAP or anything becomes non-finite; the last record
+    carries the diverged flag. Identical (config, seed) pairs produce
+    identical trajectories.
 
-    Each step's gradient is a fresh array, handed to the rate source
-    once: it may keep and overwrite it (``PlsRate``).
+    ``x0`` is the iterate: a writable 1-D float64 array of ``obj.d``
+    entries, which the run trains in place and returns as ``x_final``
+    (anything else is refused), so a caller that needs the starting point
+    afterwards hands over a copy. Each step's gradient is a fresh array,
+    handed to the rate source once: it may keep and overwrite it
+    (``PlsRate``).
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"algorithm must be one of {ALGORITHMS}")
@@ -291,7 +296,15 @@ def run_optimizer(
     if batch_size <= 0:
         raise ValueError("batch size must be positive")
 
-    x = np.array(x0, dtype=np.float64, copy=True)
+    if not isinstance(x0, np.ndarray) or x0.dtype != np.float64:
+        got = f"{x0.dtype} array" if isinstance(x0, np.ndarray) else type(x0).__name__
+        raise ValueError(f"x0 must be a float64 array, got {got}")
+    if x0.shape != (obj.d,):
+        raise ValueError(f"x0 must have shape ({obj.d},), got {x0.shape}")
+    if not x0.flags.writeable:
+        raise ValueError("x0 must be writable: the run trains it in place")
+
+    x = x0
     slices = [slice(lo, hi) for lo, hi in rate_source.groups]
     if algorithm == "sgd":
         updates = [sgd_step] * len(slices)
@@ -302,7 +315,6 @@ def run_optimizer(
         updates = [AccsgdState(x[s], *coefficients).step for s in slices]
 
     batch_rng = SeededRng(seed).spawn(BATCH_STREAM)
-    full_batch = np.arange(obj.n)
     t_start = time.perf_counter()
 
     def maybe_test(x_now, t):
@@ -314,7 +326,7 @@ def run_optimizer(
     diverged_at = None
 
     for t in range(1, steps + 1):
-        batch = full_batch if batch_size >= obj.n else batch_rng.index_array(batch_size, obj.n)
+        batch = None if batch_size >= obj.n else batch_rng.index_array(batch_size, obj.n)
         with np.errstate(over="ignore", invalid="ignore"):
             loss, g = obj.value_and_grad(x, batch)
         if not np.isfinite(loss) or loss > LOSS_CAP or not np.all(np.isfinite(g)):

@@ -71,20 +71,22 @@ class QuadraticProblem:
         centers = rng.uniform_array(n_samples * dim, -center_scale, center_scale)
         return cls(diag, centers.reshape(n_samples, dim))
 
+    def _centers(self, batch) -> np.ndarray:
+        """The centers of an index batch; None reads every center in place."""
+        return self.centers if batch is None else self.centers[_check_batch(batch, self.n)]
+
     def value(self, x, batch) -> float:
-        idx = _check_batch(batch, self.n)
-        diff = x[None, :] - self.centers[idx]
+        diff = x[None, :] - self._centers(batch)
         return float(0.5 * np.mean(np.sum(diff * diff * self.diag[None, :], axis=1)))
 
     def grad(self, x, batch) -> np.ndarray:
-        idx = _check_batch(batch, self.n)
-        return self.diag * (x - self.centers[idx].mean(axis=0))
+        return self.diag * (x - self._centers(batch).mean(axis=0))
 
     def value_and_grad(self, x, batch):
         return self.value(x, batch), self.grad(x, batch)
 
     def full_value(self, x) -> float:
-        return self.value(x, np.arange(self.n))
+        return self.value(x, None)
 
 
 def layer_layout(layer_sizes: Sequence[int]) -> tuple[list[tuple[int, int, int]], int]:
@@ -170,10 +172,15 @@ class MlpLsrProblem:
                 np.maximum(a, 0.0, out=a)
             yield a
 
-    def _reg_value(self, x: np.ndarray) -> float:
+    def _reg_value(self, x: np.ndarray, squares: np.ndarray | None = None) -> float:
+        """0.5 * l2 * sum ||W_l||^2. Each layer's ``w * w`` goes into the
+        weight slice of ``squares`` when it is given (the same values in
+        the same layout, so the same sum), else into a fresh array."""
         if self.l2 == 0.0:
             return 0.0
-        return 0.5 * self.l2 * sum(float(np.sum(w * w)) for w, _ in self.unpack(x))
+        outs = self.unpack(squares) if squares is not None else [(None, None)] * len(self._spans)
+        return 0.5 * self.l2 * sum(float(np.sum(np.multiply(w, w, out=sw)))
+                                   for (w, _), (sw, _) in zip(self.unpack(x), outs))
 
     def data_value(self, x, batch) -> float:
         """Mean squared-error term alone, without the regularizer; a batch
@@ -188,13 +195,13 @@ class MlpLsrProblem:
         return self.data_value(x, batch) + self._reg_value(x)
 
     def value_and_grad(self, x, batch):
+        g = np.empty_like(x)  # holds the l2 squares until backprop writes it
         inputs, targets = self._samples(batch)
         activations = [inputs, *self._forward(x, inputs)]  # backprop reads every layer's
         err = activations[-1] - targets
-        loss = float(0.5 * np.sum(err * err) / len(inputs)) + self._reg_value(x)
+        loss = float(0.5 * np.sum(err * err) / len(inputs)) + self._reg_value(x, g)
 
         layers = self.unpack(x)
-        g = np.empty_like(x)
         g_layers = self.unpack(g)
         delta = err / len(inputs)
         for l in range(len(layers) - 1, -1, -1):

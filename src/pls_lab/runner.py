@@ -148,6 +148,7 @@ def execute(cfg: ExperimentConfig, out_dir) -> dict:
         test_fn=test_fn,
         test_every=cfg.test_every,
     )
+    del rate_source  # a PLS history, an iterate and a gradient, is freed before the final pass
     write_records_csv(out_dir / "records.csv", result.records, n_groups)
 
     final_train = final_raw = final_test = None

@@ -143,16 +143,18 @@ class ReferenceEstimator(PlsRate):
         return out
 
 
-def run_with_iterates(obj, algorithm, rate_source, **kwargs):
-    """A run and its iterates x_0, x_1, ... as rows: the run hands each
-    iterate to its test function when it tests at every step."""
+def run_with_iterates(obj, algorithm, rate_source, *, x0, **kwargs):
+    """A run from a copy of x0 and its iterates x_0, x_1, ... as rows: the
+    run hands each iterate to its test function when it tests at every
+    step."""
     seen = []
 
     def record(x):
         seen.append(x.copy())
         return 0.0
 
-    res = run_optimizer(obj, algorithm, rate_source, test_fn=record, test_every=1, **kwargs)
+    res = run_optimizer(obj, algorithm, rate_source, x0=x0.copy(), test_fn=record,
+                        test_every=1, **kwargs)
     return res, np.array(seen)
 
 

@@ -1,3 +1,7 @@
+import tracemalloc
+from contextlib import contextmanager
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -21,6 +25,20 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.write_sep("-", "acceptance criteria")
     for name, verdict in sorted(_ACCEPTANCE_RESULTS):
         terminalreporter.write_line(f"ACCEPTANCE {name}: {verdict}")
+
+
+@contextmanager
+def traced():
+    """Trace the block's allocations with tracemalloc. On exit the yielded
+    record's ``peak`` is the most bytes the block held at once and
+    ``held`` the bytes it still held at its end."""
+    mem = SimpleNamespace(peak=0, held=0)
+    tracemalloc.start()
+    try:
+        yield mem
+        mem.held, mem.peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
 
 
 def _write_split(out_dir, name, count, seed, rows, cols):

@@ -10,6 +10,7 @@ from pls_lab.idx import MAGIC_IMAGES, MAGIC_LABELS, load_idx, write_idx
 from pls_lab.runner import build_problem
 
 from _oracles import synthetic_digits_loop
+from conftest import traced
 
 
 class TestIdxCodec:
@@ -230,17 +231,11 @@ class TestSyntheticDigits:
         assert labels.tobytes() == want_labels.tobytes()
 
     def test_peak_memory_is_a_few_chunks(self):
-        import tracemalloc
-
-        tracemalloc.start()
-        try:
+        with traced() as mem:
             synthetic_digits(1000, 5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         # 0.78 MB of images plus one chunk's draws and canvases; the whole
         # stream of 1000 samples' draws alone would take 6.5 MB
-        assert peak < 5_000_000, peak
+        assert mem.peak < 5_000_000, mem.peak
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"n": 0}, "at least 1"),

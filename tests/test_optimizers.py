@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,10 +16,11 @@ from pls_lab.optimizers import (
     run_optimizer,
     sgd_step,
 )
-from pls_lab.problems import QuadraticProblem
+from pls_lab.problems import MlpLsrProblem, QuadraticProblem, glorot_init
 from pls_lab.rng import SeededRng
 
 from _oracles import accsgd_step, amsgrad_step, run_with_iterates
+from conftest import traced
 
 
 def isotropic_quadratic(curvature=1.0, dim=3, n=10, seed=2):
@@ -198,15 +198,11 @@ def test_steady_state_step_allocates_less_than_one_group():
         (eta, _), = src.rates(1, x, g)
         update(x, g, eta)
     grads = [rng.standard_normal(n) for _ in updates]  # the rate keeps each one
-    tracemalloc.start()
-    try:
+    with traced() as mem:
         for t, (update, g) in enumerate(zip(updates, grads), start=2):
             (eta, _), = src.rates(t, x, g)
             update(x, g, eta)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < x.nbytes
+    assert mem.peak < x.nbytes
 
 
 def test_pls_history_keeps_the_gradient_it_was_handed():
@@ -218,23 +214,17 @@ def test_pls_history_keeps_the_gradient_it_was_handed():
     x = rng.standard_normal(n)
     grads = [rng.standard_normal(n) for _ in range(4)]
     src = PlsRate([(0, n // 3), (n // 3, n)], 0.001, 0.01, 0.01)
-    tracemalloc.start()
-    try:
+    with traced() as bootstrap:
         src.rates(1, x, grads[0])
-        held, _ = tracemalloc.get_traced_memory()
-        for t in (2, 3, 4):
-            prev = grads[t - 2].copy()
-            x -= 1e-3 * grads[t - 2]
-            before, _ = tracemalloc.get_traced_memory()
-            tracemalloc.reset_peak()
+    for t in (2, 3, 4):
+        prev = grads[t - 2].copy()
+        x -= 1e-3 * grads[t - 2]
+        with traced() as mem:
             src.rates(t, x, grads[t - 1])
-            _, peak = tracemalloc.get_traced_memory()
-            assert peak - before < BLOCK * 8
-            assert np.array_equal(grads[t - 2], prev - grads[t - 1])
-            assert all(np.shares_memory(h[1], grads[t - 1]) for h in src.history)
-    finally:
-        tracemalloc.stop()
-    assert x.nbytes <= held < x.nbytes + BLOCK * 8
+        assert mem.peak < BLOCK * 8
+        assert np.array_equal(grads[t - 2], prev - grads[t - 1])
+        assert all(np.shares_memory(h[1], grads[t - 1]) for h in src.history)
+    assert x.nbytes <= bootstrap.held < x.nbytes + BLOCK * 8
 
 
 class TestRateSources:
@@ -280,9 +270,9 @@ class TestRunOptimizer:
 
     def test_deterministic_trajectories(self):
         prob = isotropic_quadratic()
-        kw = dict(steps=50, seed=9, x0=np.ones(prob.d), batch_size=3)
-        r1 = run_optimizer(prob, "amsgrad", FixedRate(0.05), **kw)
-        r2 = run_optimizer(prob, "amsgrad", FixedRate(0.05), **kw)
+        kw = dict(steps=50, seed=9, batch_size=3)
+        r1 = run_optimizer(prob, "amsgrad", FixedRate(0.05), x0=np.ones(prob.d), **kw)
+        r2 = run_optimizer(prob, "amsgrad", FixedRate(0.05), x0=np.ones(prob.d), **kw)
         npt.assert_array_equal(r1.x_final, r2.x_final)
         assert [r.train_loss for r in r1.records] == [r.train_loss for r in r2.records]
 
@@ -301,12 +291,12 @@ class TestRunOptimizer:
         l0, eta0, eps2 = 3.0, 0.002, 0.01
         eta_fixed = eta0 / (l0 + eps2)
         pair = (eta_fixed, l0)
-        kw = dict(steps=40, seed=4, x0=np.ones(prob.d), batch_size=4)
+        kw = dict(steps=40, seed=4, batch_size=4)
         for algo in ("sgd", "amsgrad", "accsgd"):
             pinned = PlsRate(prob.layer_partition, eta0, 0.01, eps2)
             pinned.rates = lambda t, x, g: [pair]  # one group
-            ra = run_optimizer(prob, algo, pinned, **kw)
-            rb = run_optimizer(prob, algo, FixedRate(eta_fixed), **kw)
+            ra = run_optimizer(prob, algo, pinned, x0=np.ones(prob.d), **kw)
+            rb = run_optimizer(prob, algo, FixedRate(eta_fixed), x0=np.ones(prob.d), **kw)
             npt.assert_array_equal(ra.x_final, rb.x_final)
             assert [r.train_loss for r in ra.records] == [
                 r.train_loss for r in rb.records
@@ -317,13 +307,13 @@ class TestRunOptimizer:
         # two-group run must follow the one-rate run at that group's rate
         prob = QuadraticProblem.random(4, 10, [1.0, 2.0, 0.5, 3.0], 1.0, SeededRng(5))
         e1, e2 = 0.1, 0.3
-        kw = dict(steps=30, seed=6, x0=np.ones(prob.d), batch_size=3)
+        kw = dict(steps=30, seed=6, batch_size=3)
         for algo in ("sgd", "amsgrad", "accsgd"):
             grouped = PlsRate([(0, 2), (2, 4)], 0.01, 0.01, 0.01)
             grouped.rates = lambda t, x, g: [(e1, 1.0), (e2, 1.0)]
-            rg = run_optimizer(prob, algo, grouped, **kw)
-            r1 = run_optimizer(prob, algo, FixedRate(e1), **kw)
-            r2 = run_optimizer(prob, algo, FixedRate(e2), **kw)
+            rg = run_optimizer(prob, algo, grouped, x0=np.ones(prob.d), **kw)
+            r1 = run_optimizer(prob, algo, FixedRate(e1), x0=np.ones(prob.d), **kw)
+            r2 = run_optimizer(prob, algo, FixedRate(e2), x0=np.ones(prob.d), **kw)
             assert not (rg.diverged or r1.diverged or r2.diverged)
             assert rg.records[-1].etas == (e1, e2)
             npt.assert_array_equal(rg.x_final[:2], r1.x_final[:2])
@@ -385,6 +375,33 @@ class TestRunOptimizer:
         present = [r.iter for r in res.records if r.test_loss is not None]
         assert present == [0, 5, 10]
 
+    @pytest.mark.parametrize("algo", ["sgd", "amsgrad", "accsgd"])
+    def test_trains_x0_in_place(self, algo):
+        prob = isotropic_quadratic()
+        x0 = np.ones(prob.d)
+        res = run_optimizer(prob, algo, PlsRate(prob.layer_partition, 0.01, 0.01, 0.01),
+                            steps=5, seed=2, x0=x0, batch_size=4)
+        assert res.x_final is x0
+        assert not np.array_equal(x0, np.ones(prob.d))
+
+    @pytest.mark.parametrize("x0, message", [
+        ([0.0], "x0 must be a float64 array, got list"),
+        (np.zeros(1, dtype=np.float32), "x0 must be a float64 array, got float32 array"),
+        (np.zeros(1, dtype=np.int64), "x0 must be a float64 array, got int64 array"),
+        (np.zeros(4), r"x0 must have shape \(1,\), got \(4,\)"),
+        (np.zeros((1, 1)), r"x0 must have shape \(1,\), got \(1, 1\)"),
+        (np.float64(0.0), "x0 must be a float64 array, got float64$"),
+        (np.zeros(1)[:0], r"x0 must have shape \(1,\), got \(0,\)"),
+        (np.broadcast_to(np.zeros(1), (1,)), "x0 must be writable"),
+    ], ids=["list", "float32", "int64", "too-long", "2-d", "scalar", "empty", "read-only"])
+    def test_refuses_an_x0_it_cannot_train_in_place(self, x0, message):
+        # unchecked, a 1-d quadratic run from 4 coordinates would broadcast
+        # and sum its losses over all 4
+        prob = QuadraticProblem.random(1, 5, 1.0, 1.0, SeededRng(1))
+        with pytest.raises(ValueError, match=message):
+            run_optimizer(prob, "sgd", PlsRate(prob.layer_partition, 0.5, 0.01, 0.01),
+                          steps=3, seed=1, x0=x0, batch_size=2)
+
     def test_invalid_arguments(self):
         prob = isotropic_quadratic()
         with pytest.raises(ValueError):
@@ -396,6 +413,52 @@ class TestRunOptimizer:
         with pytest.raises(ValueError):
             run_optimizer(prob, "sgd", FixedRate(0.1), steps=1, seed=1,
                           x0=np.zeros(prob.d), batch_size=0)
+
+
+def _mlp(layers, n, seed=8):
+    rng = SeededRng(seed)
+    prob = MlpLsrProblem(layers, rng.uniform_array(n * layers[0]).reshape(n, layers[0]),
+                         rng.uniform_array(n * layers[-1]).reshape(n, layers[-1]), l2=1e-4)
+    return prob, lambda: glorot_init(layers, rng.spawn(1))
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "mlp"])
+@pytest.mark.parametrize("algo", ["sgd", "amsgrad", "accsgd"])
+def test_full_batch_steps_keep_the_index_batch_records(kind, algo, monkeypatch):
+    # a full-batch step reads every sample in place (batch None); its
+    # records are those of the gathered index batch np.arange(n), bit for bit
+    if kind == "quadratic":
+        prob = isotropic_quadratic()
+        make_x0 = lambda: np.ones(prob.d)  # noqa: E731
+    else:
+        prob, make_x0 = _mlp([784, 16, 10], 40)
+    kw = dict(steps=12, seed=1, batch_size=prob.n, test_fn=prob.full_value, test_every=4)
+    in_place = run_optimizer(prob, algo, PlsRate(prob.layer_partition, 0.01, 0.01, 0.01),
+                             x0=make_x0(), **kw)
+    batches = []
+    value_and_grad = prob.value_and_grad
+
+    def gathered(x, batch):
+        batches.append(batch)
+        return value_and_grad(x, np.arange(prob.n))
+
+    monkeypatch.setattr(prob, "value_and_grad", gathered)
+    indexed = run_optimizer(prob, algo, PlsRate(prob.layer_partition, 0.01, 0.01, 0.01),
+                            x0=make_x0(), **kw)
+    assert batches == [None] * 12
+    assert not in_place.diverged
+    assert in_place.records == indexed.records
+    assert in_place.x_final.tobytes() == indexed.x_final.tobytes()
+
+
+def test_a_full_batch_step_reads_the_training_set_in_place():
+    # 784-64-32-10 on 1000 samples: a gathered copy of the inputs is 6.3 MB,
+    # one step on them 8.6 MB; read in place, a step takes 2.25 MB
+    prob, make_x0 = _mlp([784, 64, 32, 10], 1000)
+    x0 = make_x0()
+    with traced() as mem:
+        run_optimizer(prob, "sgd", FixedRate(0.01), steps=1, seed=1, x0=x0, batch_size=prob.n)
+    assert mem.peak < prob.inputs.nbytes / 2
 
 
 @pytest.mark.parametrize("curvature", [0.1, 1.0, 10.0])

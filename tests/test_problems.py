@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -14,6 +12,7 @@ from pls_lab.problems import (
 from pls_lab.rng import SeededRng
 
 from _oracles import exact_smoothness, full_grad, mlp_value_and_grad
+from conftest import traced
 
 
 def make_quadratic(seed=1, dim=4, n=12, curvature=2.0):
@@ -34,6 +33,15 @@ class TestQuadratic:
         prob = make_quadratic()
         x = SeededRng(3).uniform_array(prob.d, -2, 2)
         npt.assert_array_equal(prob.grad(x, np.arange(prob.n)), full_grad(prob, x))
+
+    def test_none_batch_is_every_center_bitwise(self):
+        prob = make_quadratic()
+        x = SeededRng(3).uniform_array(prob.d, -2, 2)
+        every = np.arange(prob.n)
+        assert prob.value(x, None) == prob.value(x, every) == prob.full_value(x)
+        assert prob.grad(x, None).tobytes() == prob.grad(x, every).tobytes()
+        loss, g = prob.value_and_grad(x, None)
+        assert (loss, g.tobytes()) == (prob.value(x, every), prob.grad(x, every).tobytes())
 
     def test_mean_of_single_sample_grads_is_full_grad(self):
         prob = make_quadratic()
@@ -241,13 +249,22 @@ class TestForwardOracle:
         x = glorot_init(layers, rng.spawn(1))
         layer_bytes = n * 500 * 8
         for full_pass in (prob.full_value, lambda x: prob.data_value(x, None)):
-            tracemalloc.start()
-            try:
+            with traced() as mem:
                 full_pass(x)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak < 2.5 * layer_bytes
+            assert mem.peak < 2.5 * layer_bytes
+
+    def test_a_gradient_holds_one_gradient_and_batch_sized_arrays(self):
+        # 784-500-500-10 at batch 10: the gradient is 5.2 MB, each batch-sized
+        # array at most 63 KB; a separate w * w of the first layer is 3.1 MB
+        layers, n, batch = [784, 500, 500, 10], 100, 10
+        rng = SeededRng(9)
+        prob = MlpLsrProblem(layers, rng.uniform_array(n * 784).reshape(n, 784),
+                             rng.uniform_array(n * 10).reshape(n, 10), l2=1e-4)
+        x = glorot_init(layers, rng.spawn(1))
+        idx = rng.index_array(batch, n)
+        with traced() as mem:
+            prob.value_and_grad(x, idx)
+        assert mem.peak < x.nbytes + 16 * batch * max(layers) * 8
 
 
 class TestGlorotInit:

@@ -7,6 +7,7 @@ import pickle
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -203,6 +204,41 @@ class TestExecute:
         # the initial record's loss, then the final loss with its raw part
         assert full_passes == [True, True]
         assert summary["final_train_loss_raw"] < summary["final_train_loss"]
+
+    def test_final_pass_trains_x0_and_holds_no_rate_history(self, small_digits_dir, tmp_path,
+                                                            monkeypatch):
+        # the run trains build_problem's x0 in place, and the PLS rate with
+        # its history is freed before the final training pass
+        starts, sources, passes = [], [], []
+        build_problem_, build_rate_source = runner.build_problem, runner.build_rate_source
+        data_value = MlpLsrProblem.data_value
+
+        def building_problem(cfg):
+            built = build_problem_(cfg)
+            starts.append(built[1])
+            return built
+
+        def building_rate(rate, partition):
+            source = build_rate_source(rate, partition)
+            sources.append(weakref.ref(source))
+            return source
+
+        def passing(problem, x, batch):
+            if batch is None and problem.n == 120:  # a pass over the training split
+                passes.append((x is starts[0], sources[0]() is not None))
+            return data_value(problem, x, batch)
+
+        monkeypatch.setattr(runner, "build_problem", building_problem)
+        monkeypatch.setattr(runner, "build_rate_source", building_rate)
+        monkeypatch.setattr(MlpLsrProblem, "data_value", passing)
+        cfg_dict = mlp_classification_config(
+            small_digits_dir, layers=[64, 16, 10], steps=4, seed=3,
+            rate={"kind": "pls", "eta0": 0.01, "eps1": 0.01, "eps2": 0.01}, limit=120,
+            batch_size=20,
+        )
+        execute_config(cfg_dict, tmp_path)
+        # the initial record's loss, with the rate alive; then the final loss
+        assert passes == [(True, True), (True, False)]
 
     # test passes at 0, 2, 4; a run of 5 steps then tests x_final once more
     @pytest.mark.parametrize("steps, passes", [(4, 3), (5, 4)])

@@ -1,6 +1,5 @@
 import json
 import math
-import tracemalloc
 from itertools import repeat
 
 import numpy as np
@@ -8,6 +7,7 @@ import numpy.testing as npt
 import pytest
 
 from _oracles import simulate_factors_loop, simulate_system_loop, strict_json
+from conftest import traced
 from pls_lab import stability
 from pls_lab.cli import main
 from pls_lab.linalg import Matrix2, eig2x2, spectral_radius2
@@ -532,11 +532,7 @@ def test_cli_prints_what_the_per_step_loops_print(monkeypatch, capsys):
     ("t2", {"beta1": 0.999, "sqrtvhat": 1.0, "L": 1.0, "eta": 1.0}),  # radius 0.9995
 ])
 def test_analysis_memory_does_not_grow_with_steps(system, params):
-    tracemalloc.start()
-    try:
+    with traced() as mem:
         report = analyze(system, steps=200_000, **params)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert not report["envelope"]["overflowed"]
-    assert peak < 1_000_000
+    assert mem.peak < 1_000_000
