@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from . import stability as stab
-from .config import ExperimentConfig
+from .config import ExperimentConfig, finite_or_none
 from .datasets import synthetic_digits
 from .errors import ConfigError, PlsLabError
 from .idx import write_idx
@@ -80,7 +80,7 @@ def _cmd_grid(args) -> int:
 
 def _cmd_gradcheck(args) -> int:
     report = gradcheck_report(_load_config(args), n_points=args.points)
-    print(_JSON.encode(stab.finite_or_none({k: report[k] for k in (
+    print(_JSON.encode(finite_or_none({k: report[k] for k in (
         "max_rel_error", "points", "passed")})))
     return 0 if report["passed"] else 1
 

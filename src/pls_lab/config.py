@@ -24,6 +24,7 @@ of the objects below, picked by its ``kind``:
 
 Unknown keys are rejected everywhere. ``from_dict`` raises ConfigError
 with the offending key path, so CLI failures name the exact field.
+``finite_or_none`` readies a summary or report for strict JSON output.
 """
 
 import json
@@ -316,3 +317,12 @@ class ExperimentConfig(_Spec):
             except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
                 raise ConfigError("<file>", f"not valid JSON: {exc}") from exc
         return cls.from_dict(raw)
+
+
+def finite_or_none(value):
+    """``value`` with None for each non-finite float in it: strict JSON."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, list):
+        return [finite_or_none(v) for v in value]
+    return {k: finite_or_none(v) for k, v in value.items()} if isinstance(value, dict) else value

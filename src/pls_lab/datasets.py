@@ -1,8 +1,9 @@
 """Data loading from IDX files, and synthetic digit fixtures.
 
-A split's inputs are its images flattened to float64 rows scaled into
-[0, 1]. Classification targets are one-hot rows of its labels;
-reconstruction targets are the inputs themselves.
+A split's inputs are its images flattened to uint8 rows, the bytes the
+IDX file holds: ``problems.MlpLsrProblem`` divides the rows it reads by
+255.0, into [0, 1]. Classification targets are float64 one-hot rows of
+its labels; reconstruction targets are the inputs array itself.
 """
 
 from __future__ import annotations
@@ -25,15 +26,16 @@ def _load(path, field: str) -> np.ndarray:
 
 
 def load_split(images, labels, num_classes: int, split: str = "") -> tuple[np.ndarray, np.ndarray]:
-    """``(inputs, targets)`` of one split from its IDX files; with no
-    labels the targets are the inputs array itself. A file that is not
+    """``(inputs, targets)`` of one split from its IDX files: the images
+    as unscaled uint8 rows, and one-hot float64 rows of the labels or,
+    with no labels, the inputs array itself. A file that is not
     IDX raises IdxFormatError, and one that does not fit ConfigError, on
     ``problem.<split>images`` or ``problem.<split>labels``."""
     field = f"problem.{split}images"
     raw = _load(images, field)
     if raw.ndim != 3:
         raise ConfigError(field, "expected an image stack, got a label file")
-    inputs = raw.reshape(len(raw), -1) / 255.0
+    inputs = raw.reshape(len(raw), -1)
     if labels is None:
         return inputs, inputs
     field = f"problem.{split}labels"

@@ -112,6 +112,12 @@ class MlpLsrProblem:
     The regularizer touches weights only, never biases. The ReLU
     subgradient at exactly zero is taken as zero, which matters when
     consecutive gradients are differenced across a kink.
+
+    ``inputs`` are (n, width) rows. uint8 rows are pixels: they are stored
+    as the bytes they are, and every pass divides the rows it reads by
+    255.0, the bits of rows scaled when loaded. Other rows are stored and
+    read as float64, as are the targets, unless the targets are the inputs
+    array itself (reconstruction): then they are the rows each pass reads.
     """
 
     def __init__(
@@ -121,8 +127,14 @@ class MlpLsrProblem:
         targets: np.ndarray,
         l2: float = 0.0,
     ):
-        inputs = np.asarray(inputs, dtype=np.float64)
-        targets = np.asarray(targets, dtype=np.float64)
+        reconstruction = targets is inputs
+        inputs = np.asarray(inputs)
+        if inputs.ndim != 2 or inputs.dtype.kind not in "iuf":
+            raise ValueError(f"inputs must be 2-D rows of uint8 pixels or real numbers, "
+                             f"got a {inputs.ndim}-D {inputs.dtype} array")
+        if inputs.dtype != np.uint8:
+            inputs = inputs.astype(np.float64, copy=False)
+        targets = inputs if reconstruction else np.asarray(targets, dtype=np.float64)
         if len(layer_sizes) < 2:
             raise ValueError("need at least input and output sizes")
         if inputs.shape[1] != layer_sizes[0]:
@@ -154,11 +166,17 @@ class MlpLsrProblem:
         return out
 
     def _samples(self, batch):
-        """(inputs, targets) of an index batch; None reads every sample in place."""
-        if batch is None:
-            return self.inputs, self.targets
-        idx = _check_batch(batch, self.n)
-        return self.inputs[idx], self.targets[idx]
+        """(inputs, targets) of an index batch, or of every sample for None
+        (float64 rows read in place). Byte rows are gathered, then divided
+        by 255.0 in one call, whose result also serves as the targets of a
+        reconstruction."""
+        idx = None if batch is None else _check_batch(batch, self.n)
+        inputs = self.inputs if idx is None else self.inputs[idx]
+        if inputs.dtype == np.uint8:
+            inputs = inputs / 255.0
+        if self.targets is self.inputs:
+            return inputs, inputs
+        return inputs, self.targets if idx is None else self.targets[idx]
 
     def _forward(self, x: np.ndarray, a: np.ndarray):
         """Each layer's activation on the input rows a, in order: the IEEE

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .linalg import BLOCK
+
 _GAMMA = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
 _INV_2_53 = 2.0 ** -53
@@ -64,13 +66,17 @@ class SeededRng:
         return lo + (hi - lo) * u
 
     def uniform_array(self, n: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
-        """Vectorized ``uniform``; consumes the same draws as n scalar calls."""
-        bits = self._u64_block(n)
-        bits >>= np.uint64(11)
-        u = bits.astype(np.float64)
-        u *= _INV_2_53
-        u *= hi - lo
-        u += lo
+        """Vectorized ``uniform``; consumes the same draws as n scalar calls.
+        They are drawn and scaled ``BLOCK`` at a time into the result, so
+        the integer temporaries stay block-sized."""
+        u = np.empty(n)
+        for start in range(0, n, BLOCK):
+            out = u[start:start + BLOCK]
+            bits = self._u64_block(out.size)
+            bits >>= np.uint64(11)
+            np.multiply(bits, _INV_2_53, out=out)
+            out *= hi - lo
+            out += lo
         return u
 
     def randint(self, n: int) -> int:

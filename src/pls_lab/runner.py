@@ -20,20 +20,17 @@ from __future__ import annotations
 import json
 import os
 import pickle
-import subprocess
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig, QuadraticSpec, RateSpec
+from .config import ExperimentConfig, QuadraticSpec, RateSpec, finite_or_none
 from .datasets import load_split
 from .errors import ConfigError
 from .optimizers import WHOLE, FixedDecayRate, FixedRate, PlsRate, TrainRecord, run_optimizer
 from .problems import MlpLsrProblem, QuadraticProblem, finite_diff_grad, glorot_init
 from .rng import SeededRng
-from .stability import finite_or_none
 
 INIT_STREAM = 0
 PROBLEM_STREAM = 2
@@ -218,6 +215,8 @@ def _job_environment() -> dict:
 def _run_in_interpreter(config_dict: dict, out_dir: str) -> dict:
     """Run one config as a job in a fresh interpreter and return its
     summary; re-raise the job's exception."""
+    import subprocess  # here, not at the top: a job's interpreter starts no job
+
     proc = subprocess.run([*_JOB_COMMAND, out_dir], input=json.dumps(config_dict).encode(),
                           env=_job_environment(), stdout=subprocess.PIPE)
     if proc.returncode == 1 and proc.stdout:
@@ -237,6 +236,8 @@ def run_grid(config_paths, out_root, workers: int = 1) -> list[dict]:
     most ``workers`` (at least 1) at a time; all of them have ended when
     this returns or raises the first failed config's exception.
     """
+    from concurrent.futures import ThreadPoolExecutor  # here: a job runs no pool
+
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     out_root = Path(out_root)

@@ -19,6 +19,7 @@ from itertools import repeat
 
 import numpy as np
 
+from .config import finite_or_none
 from .errors import ConsistencyError, SingularSystemError
 from .linalg import Matrix2, cond2, eig2x2, solve_discrete_lyapunov2, spectral_radius2
 from .optimizers import accsgd_coefficients
@@ -468,12 +469,3 @@ def analyze(
     report["stable"] = stable
     report["envelope"] = {"steps": steps, **vars(sim)}
     return finite_or_none(report)
-
-
-def finite_or_none(value):
-    """``value`` with None for each non-finite float in it: strict JSON."""
-    if isinstance(value, float):
-        return value if math.isfinite(value) else None
-    if isinstance(value, list):
-        return [finite_or_none(v) for v in value]
-    return {k: finite_or_none(v) for k, v in value.items()} if isinstance(value, dict) else value

@@ -1,7 +1,7 @@
 """Oracles and reference code that the tests share and the library does not need.
 
-The reference updates, rate and MLP forward pass are the library's
-earlier whole-array expressions, the reference permutation, digit
+The reference updates, rate, MLP forward pass and uniform draws are the
+library's earlier whole-array expressions, the reference permutation, digit
 generator and envelope simulations its earlier per-step loops; the
 library's blocked, in-place and chunked versions must match them bit
 for bit.
@@ -16,6 +16,7 @@ import numpy as np
 from pls_lab.errors import DivergenceError
 from pls_lab.linalg import cond2
 from pls_lab.optimizers import VHAT_FLOOR, PlsRate, run_optimizer
+from pls_lab.problems import layer_layout
 from pls_lab.rng import SeededRng
 from pls_lab.stability import DecayReport, _Envelope
 
@@ -60,12 +61,19 @@ def full_grad(problem, x: np.ndarray) -> np.ndarray:
     return problem.diag * (x - problem.centers.mean(axis=0))
 
 
+def _rows(array, idx):
+    """The rows idx of a problem's stored array, uint8 pixels divided by 255.0."""
+    rows = array[idx]
+    return rows / 255.0 if rows.dtype == np.uint8 else rows
+
+
 def mlp_forward(problem, x, idx):
     """Every activation of an MlpLsrProblem on the samples idx, input
-    first: a gather by index, then ``a @ w + b`` and ``np.maximum(z, 0.0)``
-    per layer (no ReLU on the output), each a fresh array."""
+    first: a gather by index (pixels then scaled), then ``a @ w + b`` and
+    ``np.maximum(z, 0.0)`` per layer (no ReLU on the output), each a fresh
+    array."""
     layers = problem.unpack(x)
-    a = problem.inputs[idx]
+    a = _rows(problem.inputs, idx)
     activations = [a]
     for l, (w, b) in enumerate(layers):
         z = a @ w + b
@@ -79,7 +87,7 @@ def mlp_value_and_grad(problem, x, idx):
     from mlp_forward and backprop on whole arrays."""
     idx = np.asarray(idx, dtype=np.int64)
     activations = mlp_forward(problem, x, idx)
-    err = activations[-1] - problem.targets[idx]
+    err = activations[-1] - _rows(problem.targets, idx)
     data = float(0.5 * np.sum(err * err) / idx.size)
     layers = problem.unpack(x)
     reg = 0.5 * problem.l2 * sum(float(np.sum(w * w)) for w, _ in layers) if problem.l2 else 0.0
@@ -156,6 +164,28 @@ def run_with_iterates(obj, algorithm, rate_source, *, x0, **kwargs):
     res = run_optimizer(obj, algorithm, rate_source, x0=x0.copy(), test_fn=record,
                         test_every=1, **kwargs)
     return res, np.array(seen)
+
+
+def uniform_whole(rng, n, lo=0.0, hi=1.0):
+    """``n`` draws of ``rng.uniform(lo, hi)`` as one whole-array formula over
+    the next ``n`` counters; advances ``rng`` past them."""
+    z = np.arange(rng._count + 1, rng._count + n + 1, dtype=np.uint64)
+    rng.skip(n)
+    z = z * np.uint64(0x9E3779B97F4A7C15) + np.uint64(rng.seed)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z = z ^ (z >> np.uint64(31))
+    return lo + (hi - lo) * ((z >> np.uint64(11)).astype(np.float64) * 2.0 ** -53)
+
+
+def glorot_whole(layer_sizes, rng):
+    """``glorot_init`` with each layer's weights drawn by uniform_whole."""
+    spans, dim = layer_layout(layer_sizes)
+    x = np.zeros(dim)
+    for (start, split, _), n_in, n_out in zip(spans, layer_sizes[:-1], layer_sizes[1:]):
+        bound = np.sqrt(6.0 / (n_in + n_out))
+        x[start:split] = uniform_whole(rng, n_in * n_out, -bound, bound)
+    return x
 
 
 def fisher_yates(rng, n):

@@ -1,3 +1,5 @@
+import subprocess
+import sys
 import tracemalloc
 from contextlib import contextmanager
 from types import SimpleNamespace
@@ -7,6 +9,7 @@ import pytest
 
 from pls_lab.datasets import synthetic_digits
 from pls_lab.idx import write_idx
+from pls_lab.runner import _job_environment
 
 _ACCEPTANCE_RESULTS: list[tuple[str, str]] = []
 
@@ -39,6 +42,14 @@ def traced():
         mem.held, mem.peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+
+
+def fresh_python(*args, env=None, **kwargs):
+    """``subprocess.run`` of ``python *args`` in a fresh interpreter, in the
+    environment a job gets (``runner._job_environment()``) unless ``env``
+    is given, with a 60 s timeout."""
+    return subprocess.run([sys.executable, *args], env=_job_environment() if env is None else env,
+                          timeout=60, **kwargs)
 
 
 def _write_split(out_dir, name, count, seed, rows, cols):

@@ -7,6 +7,7 @@ from pls_lab.config import ExperimentConfig
 from pls_lab.datasets import load_split, synthetic_digits
 from pls_lab.errors import ConfigError, IdxFormatError
 from pls_lab.idx import MAGIC_IMAGES, MAGIC_LABELS, load_idx, write_idx
+from pls_lab.problems import MlpLsrProblem
 from pls_lab.runner import build_problem
 
 from _oracles import synthetic_digits_loop
@@ -118,6 +119,12 @@ def _write(tmp_path, images, labels):
     return tmp_path / "i.idx", tmp_path / "l.idx"
 
 
+def _read(inputs, targets):
+    """The (inputs, targets) rows of every sample as a problem on them reads them."""
+    problem = MlpLsrProblem([inputs.shape[1], targets.shape[1]], inputs, targets)
+    return problem._samples(None)
+
+
 def _build(tmp_path, limit, kind="mlp-classification", layers=(2, 3, 2)):
     """build_problem on ten 1x2 images whose pixels are 20k and 20k+10,
     labelled k % 2."""
@@ -136,9 +143,12 @@ class TestDataset:
     def test_load_split_scaling_and_labels(self, tmp_path):
         images, labels = synthetic_digits(30, seed=2, rows=8, cols=8)
         inputs, targets = load_split(*_write(tmp_path, images, labels), 10)
-        assert inputs.min() >= 0.0 and inputs.max() <= 1.0
-        assert inputs.shape == (30, 64)
-        npt.assert_array_equal(inputs, images.reshape(30, 64) / 255.0)
+        assert inputs.dtype == np.uint8  # the file's bytes, scaled on read
+        npt.assert_array_equal(inputs, images.reshape(30, 64))
+        rows, _ = _read(inputs, targets)
+        assert rows.min() >= 0.0 and rows.max() <= 1.0
+        assert rows.shape == (30, 64)
+        npt.assert_array_equal(rows, images.reshape(30, 64) / 255.0)
         npt.assert_array_equal(targets.argmax(axis=1), labels)
 
     def test_label_range_enforced(self, tmp_path):
@@ -157,7 +167,9 @@ class TestDataset:
         npt.assert_array_equal(targets, [[1, 0], [0, 1], [1, 0]])
         inputs, targets = load_split(images_path, None, 2)
         assert targets is inputs
-        npt.assert_array_equal(inputs, np.full((3, 2), 0.2))
+        rows, targets = _read(inputs, targets)
+        assert targets is rows  # one division serves both
+        npt.assert_array_equal(rows, np.full((3, 2), 0.2))
 
     def test_first_layer_must_match_the_data_width(self, tmp_path):
         with pytest.raises(ConfigError) as exc:
@@ -185,14 +197,26 @@ class TestDataset:
         s2 = _build(tmp_path, 4)
         npt.assert_array_equal(s1.inputs, s2.inputs)
         assert s1.n == 4
+        rows1, targets1 = s1._samples(None)
         # each sample keeps its own label
-        npt.assert_array_equal(s1.targets.argmax(axis=1), np.round(s1.inputs[:, 0] * 255 / 20) % 2)
+        npt.assert_array_equal(targets1.argmax(axis=1), np.round(rows1[:, 0] * 255 / 20) % 2)
         # prefix of the same shuffle: limit 4 is a prefix of limit 6
         s3 = _build(tmp_path, 6)
-        npt.assert_array_equal(s3.inputs[:4], s1.inputs)
+        npt.assert_array_equal(s3._samples(None)[0][:4], rows1)
         for limit in (10, 11, None):  # no shuffle at full size
             full = _build(tmp_path, limit)
-            npt.assert_array_equal(full.inputs[:, 0], np.arange(0, 200, 20) / 255.0)
+            npt.assert_array_equal(full._samples(None)[0][:, 0], np.arange(0, 200, 20) / 255.0)
+
+    def test_a_problem_holds_its_pixels_as_bytes(self, digits_dir):
+        # 1000 28x28 images: 784,000 bytes, against 6,272,000 as float64 rows
+        cfg = ExperimentConfig.from_dict({
+            "problem": {"kind": "mlp-classification", "layers": [784, 10],
+                        "images": str(digits_dir / "train-images.idx"),
+                        "labels": str(digits_dir / "train-labels.idx")},
+            "algorithm": "sgd", "rate": {"kind": "fixed", "eta": 0.1}, "steps": 1, "seed": 3})
+        problem = build_problem(cfg)[0]
+        assert problem.inputs.nbytes == 784_000
+        assert problem.inputs.dtype == np.uint8
 
     def test_subset_keeps_reconstruction_targets_the_inputs(self, tmp_path):
         problem = _build(tmp_path, 4, kind="mlp-reconstruction")

@@ -9,10 +9,12 @@ from pls_lab.problems import (
     glorot_init,
     layer_layout,
 )
+from pls_lab.config import ExperimentConfig
 from pls_lab.rng import SeededRng
+from pls_lab.runner import build_problem
 
 from _oracles import exact_smoothness, full_grad, mlp_value_and_grad
-from conftest import traced
+from conftest import mlp_classification_config, traced
 
 
 def make_quadratic(seed=1, dim=4, n=12, curvature=2.0):
@@ -205,17 +207,35 @@ class TestMlp:
         with pytest.raises(ValueError):
             MlpLsrProblem([3, 2], np.zeros((2, 3)), np.zeros((2, 2)), l2=-1.0)
 
+    @pytest.mark.parametrize("inputs, got", [
+        (np.zeros((2, 3, 1)), "a 3-D float64 array"),
+        (np.zeros(3), "a 1-D float64 array"),
+        (np.float64(0.0), "a 0-D float64 array"),
+        (np.full((2, 3), "0"), "a 2-D <U1 array"),
+        (np.zeros((2, 3), dtype=bool), "a 2-D bool array"),
+        (np.zeros((2, 3), dtype=complex), "a 2-D complex128 array"),
+        (np.zeros((2, 3), dtype=object), "a 2-D object array"),
+    ], ids=["3-d", "1-d", "0-d", "text", "bool", "complex", "object"])
+    def test_refuses_inputs_that_are_not_rows_of_numbers(self, inputs, got):
+        with pytest.raises(ValueError, match=f"^inputs must be 2-D rows of uint8 pixels or "
+                                             f"real numbers, got {got}$"):
+            MlpLsrProblem([3, 2], inputs, np.zeros((2, 2)))
+
 
 def oracle_cases():
-    """(problem, x) cases: l2 on and off, and a reconstruction net whose
-    targets are its inputs."""
+    """(problem, x) cases: l2 on and off, a reconstruction net whose
+    targets are its inputs, and both nets on uint8 pixels."""
     rng = SeededRng(21)
     inputs = rng.uniform_array(70 * 64).reshape(70, 64)
     targets = rng.uniform_array(70 * 10).reshape(70, 10)
-    for name, layers, tgt, l2 in (("classification", [64, 48, 32, 10], targets, 0.0),
-                                  ("classification-l2", [64, 48, 32, 10], targets, 1e-3),
-                                  ("reconstruction-l2", [64, 24, 64], inputs, 1e-4)):
-        prob = MlpLsrProblem(layers, inputs, tgt, l2=l2)
+    pixels = rng.index_array(70 * 64, 256).astype(np.uint8).reshape(70, 64)
+    for name, layers, rows, tgt, l2 in (
+            ("classification", [64, 48, 32, 10], inputs, targets, 0.0),
+            ("classification-l2", [64, 48, 32, 10], inputs, targets, 1e-3),
+            ("reconstruction-l2", [64, 24, 64], inputs, inputs, 1e-4),
+            ("classification-bytes", [64, 48, 32, 10], pixels, targets, 1e-3),
+            ("reconstruction-bytes", [64, 24, 64], pixels, pixels, 1e-4)):
+        prob = MlpLsrProblem(layers, rows, tgt, l2=l2)
         yield pytest.param(prob, glorot_init(layers, rng.spawn(len(layers))), id=name)
 
 
@@ -265,6 +285,37 @@ class TestForwardOracle:
         with traced() as mem:
             prob.value_and_grad(x, idx)
         assert mem.peak < x.nbytes + 16 * batch * max(layers) * 8
+
+
+@pytest.mark.parametrize("kind", ["classification", "reconstruction"])
+@pytest.mark.parametrize("limit", [None, 150])
+def test_byte_rows_give_the_bits_of_rows_scaled_on_load(kind, limit, small_digits_dir):
+    # build_problem keeps the IDX pixels as bytes, after its limit gather;
+    # a twin built on rows / 255.0 is the problem of rows scaled on load
+    cfg = mlp_classification_config(small_digits_dir, layers=[64, 24, 10], steps=1, seed=4,
+                                    rate={"kind": "fixed", "eta": 0.1}, limit=limit)
+    if kind == "reconstruction":
+        cfg["problem"] = {"kind": "mlp-reconstruction", "layers": [64, 24, 64], "l2": 1e-4,
+                          "images": cfg["problem"]["images"],
+                          "test_images": cfg["problem"]["test_images"]}
+    prob, x, test_fn = build_problem(ExperimentConfig.from_dict(cfg))
+    test_prob = test_fn.__self__
+    assert prob.inputs.dtype == test_prob.inputs.dtype == np.uint8
+    assert prob.n == (limit or 300)
+    twins = []
+    for p in (prob, test_prob):
+        rows = p.inputs / 255.0
+        twins.append(MlpLsrProblem(p.layer_sizes, rows,
+                                   rows if p.targets is p.inputs else p.targets, l2=p.l2))
+    twin, test_twin = twins
+    for batch in (SeededRng(3).index_array(20, prob.n), [7], None):
+        assert prob.value(x, batch) == twin.value(x, batch)
+        assert prob.data_value(x, batch) == twin.data_value(x, batch)
+        loss, g = prob.value_and_grad(x, batch)
+        twin_loss, twin_g = twin.value_and_grad(x, batch)
+        assert (loss, g.tobytes()) == (twin_loss, twin_g.tobytes())
+    assert prob.full_value(x) == twin.full_value(x)
+    assert test_fn(x) == test_twin.full_value(x)
 
 
 class TestGlorotInit:

@@ -2,9 +2,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from pls_lab.linalg import BLOCK
+from pls_lab.problems import glorot_init
 from pls_lab.rng import SeededRng
 
-from _oracles import fisher_yates
+from _oracles import fisher_yates, glorot_whole, uniform_whole
 
 
 def test_equal_seeds_equal_streams_one_million():
@@ -19,6 +21,27 @@ def test_scalar_and_vector_paths_agree():
     vec = a.uniform_array(257, -2.0, 3.0)
     scalars = np.array([b.uniform(-2.0, 3.0) for _ in range(257)])
     npt.assert_array_equal(vec, scalars)
+
+
+@pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+def test_blocked_draws_match_scalar_draws(n):
+    # uniform_array draws and scales BLOCK entries at a time
+    a, b, c = SeededRng(n), SeededRng(n), SeededRng(n)
+    a.skip(5)
+    b.skip(5)
+    c.skip(5)
+    got = a.uniform_array(n, -0.3, 0.7)
+    scalars = np.array([b.uniform(-0.3, 0.7) for _ in range(n)])
+    assert got.tobytes() == scalars.tobytes()
+    assert got.tobytes() == uniform_whole(c, n, -0.3, 0.7).tobytes()
+    assert a._count == b._count == c._count == n + 5  # the counter each leaves
+    assert a.next_u64() == b.next_u64()
+
+
+def test_glorot_init_matches_the_whole_array_draws():
+    layers = [784, 500, 500, 10]  # weights of 11 blocks and a part, 7 blocks and a part, one part
+    got = glorot_init(layers, SeededRng(12))
+    assert got.tobytes() == glorot_whole(layers, SeededRng(12)).tobytes()
 
 
 def test_uniform_bounds():

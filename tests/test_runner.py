@@ -16,7 +16,7 @@ import pytest
 
 import pls_lab
 import pls_lab.cli as cli_mod
-from pls_lab import errors, runner
+from pls_lab import errors, problems, runner
 from pls_lab.cli import main
 from pls_lab.config import ExperimentConfig
 from pls_lab.datasets import synthetic_digits
@@ -26,7 +26,7 @@ from pls_lab.problems import MlpLsrProblem, QuadraticProblem
 from pls_lab.runner import build_problem, execute, execute_config, gradcheck_report, run_grid
 
 from _oracles import strict_json
-from conftest import mlp_classification_config
+from conftest import fresh_python, mlp_classification_config
 
 
 def quadratic_pls_config(steps=200, seed=1, curvature=1.0, eta0=0.5):
@@ -186,15 +186,21 @@ class TestExecute:
         assert present == [0, 5, 10]
 
     def test_one_training_pass_after_the_loop(self, small_digits_dir, tmp_path, monkeypatch):
-        full_passes = []
-        forward = MlpLsrProblem._forward
+        full_passes, batch_sizes = [], []
+        forward, check_batch = MlpLsrProblem._forward, problems._check_batch
 
         def counting(problem, x, a):
             if len(a) == problem.n == 120:  # the training split, not a batch or the test split
-                full_passes.append(a is problem.inputs)  # read in place
+                # every stored byte row, divided by 255.0
+                full_passes.append(a.tobytes() == (problem.inputs / 255.0).tobytes())
             return forward(problem, x, a)
 
+        def checking(batch, n):  # every index batch passes here before its gather
+            batch_sizes.append(len(batch))
+            return check_batch(batch, n)
+
         monkeypatch.setattr(MlpLsrProblem, "_forward", counting)
+        monkeypatch.setattr(problems, "_check_batch", checking)
         cfg_dict = mlp_classification_config(
             small_digits_dir, layers=[64, 16, 10], steps=4, seed=3,
             rate={"kind": "fixed", "eta": 0.01}, limit=120, batch_size=20,
@@ -203,6 +209,7 @@ class TestExecute:
         summary = execute_config(cfg_dict, tmp_path)
         # the initial record's loss, then the final loss with its raw part
         assert full_passes == [True, True]
+        assert batch_sizes == [20] * 4  # the steps' batches: no pass gathers by index
         assert summary["final_train_loss_raw"] < summary["final_train_loss"]
 
     def test_final_pass_trains_x0_and_holds_no_rate_history(self, small_digits_dir, tmp_path,
@@ -845,8 +852,8 @@ def _cli_into_closed_stdout(argv, unbuffered):
     if unbuffered:  # the write itself fails, not the flush
         env["PYTHONUNBUFFERED"] = "1"
     try:
-        proc = subprocess.run([sys.executable, "-m", "pls_lab.cli", *argv],
-                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+        proc = fresh_python("-m", "pls_lab.cli", *argv, env=env, stdout=write_end,
+                            stderr=subprocess.PIPE)
     finally:
         os.close(write_end)
     return proc.returncode, proc.stderr
@@ -967,6 +974,15 @@ def test_grid_error_is_reported_alike_for_any_worker_count(workers, tmp_path, mo
     captured = capfd.readouterr()
     assert code == 2
     assert captured.err == f"error: problem.images: {GARBAGE_MAGIC}\n"
+
+
+def test_a_job_interpreter_loads_no_pool_or_stability_code():
+    # a job imports pls_lab.runner for _run_job; the grid pool's modules and
+    # the stability engine are not what a job runs
+    code = ("import sys, pls_lab.runner; print(*[m for m in ('pls_lab.stability', 'subprocess',"
+            " 'concurrent.futures') if m in sys.modules])")
+    proc = fresh_python("-c", code, stdout=subprocess.PIPE, check=True)
+    assert proc.stdout == b"\n"
 
 
 def test_grid_job_that_dies_without_its_exception(tmp_path, monkeypatch, capsys):
