@@ -20,10 +20,8 @@ from .linalg import Matrix2, cond2, eig2x2, solve_discrete_lyapunov2, spectral_r
 from .optimizers import (
     AccsgdState,
     AmsgradState,
-    FixedDecayRate,
     FixedRate,
     PlsRate,
-    RunResult,
     TrainRecord,
     accsgd_coefficients,
     run_optimizer,

@@ -4,18 +4,19 @@ Three base updates (plain descent, max-normalized adaptive moments,
 accelerated momentum) share one loop; the adaptive-smoothness variants are
 the same updates driven by a different step-size source. Each iteration
 follows the same line order: sample batch, gradient, smoothness
-prediction, step size, moment updates, parameter update. Every update
-takes one scalar step size and advances one rate group's slice of the
-iterate in place. The updates run block by block (``linalg.blocks``)
-through one block-sized workspace, with the operations and their order
-of the textbook expressions in their docstrings, so they allocate
-nothing the size of a group per step and give the same bits.
+prediction, step size, moment updates, parameter update, and then hands
+its record to the caller's ``emit``; the loop keeps no log of its own.
+Every update takes one scalar step size and advances one rate group's
+slice of the iterate in place. The updates run block by block
+(``linalg.blocks``) through one block-sized workspace, with the
+operations and their order of the textbook expressions in their
+docstrings, so they allocate nothing the size of a group per step and
+give the same bits.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,31 +144,23 @@ class AccsgdState:
 
 
 class FixedRate:
-    """Constant step size; reports a single rate group."""
+    """A fixed step size, damped to eta / sqrt(t) under the "sqrt_t"
+    decay; reports a single rate group."""
 
     groups = WHOLE
 
-    def __init__(self, eta: float):
+    def __init__(self, eta: float, decay: str = "constant"):
         if not np.isfinite(eta) or eta <= 0.0:
             raise ValueError("fixed step size must be positive and finite")
+        if decay not in DECAY_MODES:
+            raise ValueError(f"decay must be one of {DECAY_MODES}")
         self.eta = float(eta)
+        self.decay = decay
 
     def rates(self, t, x, g):
+        if self.decay == "sqrt_t":
+            return [(self.eta / math.sqrt(t), None)]
         return [(self.eta, None)]
-
-
-class FixedDecayRate:
-    """eta0 / sqrt(t); reports a single rate group."""
-
-    groups = WHOLE
-
-    def __init__(self, eta0: float):
-        if not np.isfinite(eta0) or eta0 <= 0.0:
-            raise ValueError("base step size must be positive and finite")
-        self.eta0 = float(eta0)
-
-    def rates(self, t, x, g):
-        return [(self.eta0 / np.sqrt(t), None)]
 
 
 class PlsRate:
@@ -235,25 +228,6 @@ class TrainRecord:
     diverged: bool
 
 
-@dataclass
-class RunResult:
-    """The log of a run and where it ended.
-
-    ``x_final`` is the last iterate, in the run's ``x0`` array; after a
-    divergence found in the iterate it holds that non-finite iterate.
-    ``wall_ms`` times the whole run, initial evaluation included.
-    """
-
-    records: list[TrainRecord]
-    x_final: np.ndarray
-    diverged_at: int | None
-    wall_ms: float
-
-    @property
-    def diverged(self) -> bool:
-        return self.diverged_at is not None
-
-
 def run_optimizer(
     obj,
     algorithm: str,
@@ -269,8 +243,13 @@ def run_optimizer(
     xi: float = 10.0,
     test_fn=None,
     test_every: int = 50,
-) -> RunResult:
-    """Run one optimizer for ``steps`` iterations and log every iteration.
+    emit=lambda record: None,
+) -> TrainRecord:
+    """Run one optimizer for ``steps`` iterations and return the last record.
+
+    Each iteration's ``TrainRecord`` is handed to ``emit`` as soon as it
+    exists, the initial evaluation (iteration 0) first; by default the
+    records are dropped.
 
     Each rate group of ``rate_source`` gets its own update state; every
     step applies the group's scalar step size in place to its slice of
@@ -283,9 +262,10 @@ def run_optimizer(
     identical trajectories.
 
     ``x0`` is the iterate: a writable 1-D float64 array of ``obj.d``
-    entries, which the run trains in place and returns as ``x_final``
-    (anything else is refused), so a caller that needs the starting point
-    afterwards hands over a copy. Each step's gradient is a fresh array,
+    entries, which the run trains in place (anything else is refused), so
+    afterwards it holds the last iterate (after a divergence found in the
+    iterate, that non-finite iterate) and a caller that needs the starting
+    point hands over a copy. Each step's gradient is a fresh array,
     handed to the rate source once: it may keep and overwrite it
     (``PlsRate``).
     """
@@ -315,37 +295,31 @@ def run_optimizer(
         updates = [AccsgdState(x[s], *coefficients).step for s in slices]
 
     batch_rng = SeededRng(seed).spawn(BATCH_STREAM)
-    t_start = time.perf_counter()
 
     def maybe_test(x_now, t):
         if test_fn is None or t % test_every != 0:
             return None
         return float(test_fn(x_now))
 
-    records = [TrainRecord(0, obj.full_value(x), maybe_test(x, 0), None, None, False)]
-    diverged_at = None
-
+    last = TrainRecord(0, obj.full_value(x), maybe_test(x, 0), None, None, False)
+    emit(last)
     for t in range(1, steps + 1):
         batch = None if batch_size >= obj.n else batch_rng.index_array(batch_size, obj.n)
         with np.errstate(over="ignore", invalid="ignore"):
             loss, g = obj.value_and_grad(x, batch)
         if not np.isfinite(loss) or loss > LOSS_CAP or not np.all(np.isfinite(g)):
-            records.append(TrainRecord(t, float(loss), None, None, None, True))
-            diverged_at = t
+            last = TrainRecord(t, float(loss), None, None, None, True)
+        else:
+            group_rates = rate_source.rates(t, x, g)
+            etas = tuple(eta for eta, _ in group_rates)
+            l_hats = tuple(l for _, l in group_rates)
+            with np.errstate(over="ignore", invalid="ignore"):
+                for update, s, eta in zip(updates, slices, etas):
+                    update(x[s], g[s], eta)
+            diverged = not np.all(np.isfinite(x))
+            test_loss = None if diverged else maybe_test(x, t)
+            last = TrainRecord(t, float(loss), test_loss, etas, l_hats, diverged)
+        emit(last)
+        if last.diverged:
             break
-
-        group_rates = rate_source.rates(t, x, g)
-        etas = tuple(eta for eta, _ in group_rates)
-        l_hats = tuple(l for _, l in group_rates)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for update, s, eta in zip(updates, slices, etas):
-                update(x[s], g[s], eta)
-        if not np.all(np.isfinite(x)):
-            records.append(TrainRecord(t, float(loss), None, etas, l_hats, True))
-            diverged_at = t
-            break
-
-        records.append(TrainRecord(t, float(loss), maybe_test(x, t), etas, l_hats, False))
-
-    wall_ms = (time.perf_counter() - t_start) * 1e3
-    return RunResult(records, x, diverged_at, wall_ms)
+    return last

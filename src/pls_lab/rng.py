@@ -37,6 +37,13 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _check_count(n: int) -> None:
+    """Refuse a negative draw count, which would move the counter back and
+    repeat earlier draws."""
+    if n < 0:
+        raise ValueError(f"draw count must be non-negative, got {n}")
+
+
 class SeededRng:
     """Single-owner random stream. Equal seeds give equal draw sequences."""
 
@@ -51,9 +58,11 @@ class SeededRng:
 
     def skip(self, n: int) -> None:
         """Advance past ``n`` draws without computing them."""
+        _check_count(n)
         self._count += n
 
     def _u64_block(self, n: int) -> np.ndarray:
+        _check_count(n)
         z = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
         self._count += n
         z *= np.uint64(_GAMMA)  # integer arrays wrap mod 2**64 silently
@@ -69,6 +78,7 @@ class SeededRng:
         """Vectorized ``uniform``; consumes the same draws as n scalar calls.
         They are drawn and scaled ``BLOCK`` at a time into the result, so
         the integer temporaries stay block-sized."""
+        _check_count(n)
         u = np.empty(n)
         for start in range(0, n, BLOCK):
             out = u[start:start + BLOCK]

@@ -1,5 +1,7 @@
 """Experiment orchestration: build, run, and emit records.csv + summary.json.
 
+records.csv is written row by row as the run makes each record, so a run
+that is killed or fails leaves its rows so far and no summary.json.
 Outputs are deterministic functions of (config, seed): floats are written
 with shortest round-trip precision and the per-row wall-time column is
 left empty so repeated runs of the same config are byte-identical; the
@@ -21,6 +23,7 @@ import json
 import os
 import pickle
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +31,7 @@ import numpy as np
 from .config import ExperimentConfig, QuadraticSpec, RateSpec, finite_or_none
 from .datasets import load_split
 from .errors import ConfigError
-from .optimizers import WHOLE, FixedDecayRate, FixedRate, PlsRate, TrainRecord, run_optimizer
+from .optimizers import WHOLE, FixedRate, PlsRate, TrainRecord, run_optimizer
 from .problems import MlpLsrProblem, QuadraticProblem, finite_diff_grad, glorot_init
 from .rng import SeededRng
 
@@ -82,7 +85,7 @@ def build_rate_source(rate: RateSpec, partition):
     if rate.kind == "fixed":
         return FixedRate(rate.eta)
     if rate.kind == "fixed-decay":
-        return FixedDecayRate(rate.eta0)
+        return FixedRate(rate.eta0, "sqrt_t")
     groups = list(partition) if rate.per_group else WHOLE
     return PlsRate(groups, rate.eta0, rate.eps1, rate.eps2, decay=rate.decay)
 
@@ -97,30 +100,34 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
-def write_records_csv(path, records: list[TrainRecord], n_groups: int) -> None:
+def _csv_header(n_groups: int) -> str:
     lr_cols = [f"lr_g{k}" for k in range(n_groups)]
     l_cols = [f"L_g{k}" for k in range(n_groups)]
-    lines = [",".join(["iter", "train_loss", "test_loss", *lr_cols, *l_cols, "wall_ms", "diverged"])]
-    for rec in records:
-        etas = rec.etas if rec.etas is not None else (None,) * n_groups
-        l_hats = rec.l_hats if rec.l_hats is not None else (None,) * n_groups
-        cells = [
-            _fmt(rec.iter),
-            _fmt(rec.train_loss),
-            _fmt(rec.test_loss),
-            *(_fmt(e) for e in etas),
-            *(_fmt(l) for l in l_hats),
-            "",  # wall time is not per row: runs stay byte-identical
-            _fmt(rec.diverged),
-        ]
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n")
+    cols = ["iter", "train_loss", "test_loss", *lr_cols, *l_cols, "wall_ms", "diverged"]
+    return ",".join(cols) + "\n"
+
+
+def _csv_row(rec: TrainRecord, n_groups: int) -> str:
+    etas = rec.etas if rec.etas is not None else (None,) * n_groups
+    l_hats = rec.l_hats if rec.l_hats is not None else (None,) * n_groups
+    cells = [
+        _fmt(rec.iter),
+        _fmt(rec.train_loss),
+        _fmt(rec.test_loss),
+        *(_fmt(e) for e in etas),
+        *(_fmt(l) for l in l_hats),
+        "",  # wall time is not per row: runs stay byte-identical
+        _fmt(rec.diverged),
+    ]
+    return ",".join(cells) + "\n"
 
 
 def execute(cfg: ExperimentConfig, out_dir) -> dict:
     """Run one experiment into out_dir, refused first if it holds a run's
-    files; write records.csv, then summary.json through a temp file and
-    os.replace, so that a summary means the run ended."""
+    files. Each record is written to records.csv as the run makes it
+    (line-buffered, so a killed run leaves whole rows); summary.json is
+    written last, through a temp file and os.replace, so that a summary
+    means the run ended."""
     out_dir = Path(out_dir)
     for name in ("records.csv", "summary.json"):
         if (out_dir / name).exists():
@@ -130,47 +137,50 @@ def execute(cfg: ExperimentConfig, out_dir) -> dict:
     rate_source = build_rate_source(cfg.rate, problem.layer_partition)
     n_groups = len(rate_source.groups)
 
-    result = run_optimizer(
-        problem,
-        cfg.algorithm,
-        rate_source,
-        steps=cfg.steps,
-        seed=cfg.seed,
-        x0=x0,
-        batch_size=cfg.batch_size,
-        beta1=cfg.amsgrad.beta1,
-        beta2=cfg.amsgrad.beta2,
-        kappa=cfg.accsgd.kappa,
-        xi=cfg.accsgd.xi,
-        test_fn=test_fn,
-        test_every=cfg.test_every,
-    )
+    with open(out_dir / "records.csv", "x", buffering=1) as records:
+        records.write(_csv_header(n_groups))
+        start = time.perf_counter()
+        last = run_optimizer(
+            problem,
+            cfg.algorithm,
+            rate_source,
+            steps=cfg.steps,
+            seed=cfg.seed,
+            x0=x0,
+            batch_size=cfg.batch_size,
+            beta1=cfg.amsgrad.beta1,
+            beta2=cfg.amsgrad.beta2,
+            kappa=cfg.accsgd.kappa,
+            xi=cfg.accsgd.xi,
+            test_fn=test_fn,
+            test_every=cfg.test_every,
+            emit=lambda rec: records.write(_csv_row(rec, n_groups)),
+        )
+        wall_ms = (time.perf_counter() - start) * 1e3
     del rate_source  # a PLS history, an iterate and a gradient, is freed before the final pass
-    write_records_csv(out_dir / "records.csv", result.records, n_groups)
 
     final_train = final_raw = final_test = None
-    last = result.records[-1]
-    if not result.diverged:
+    if not last.diverged:  # x0 holds the final iterate
         if isinstance(problem, MlpLsrProblem):  # one pass: value is data_value + _reg_value
-            final_raw = problem.data_value(result.x_final, None)  # every sample, in place
-            final_train = final_raw + problem._reg_value(result.x_final)
+            final_raw = problem.data_value(x0, None)  # every sample, in place
+            final_train = final_raw + problem._reg_value(x0)
         else:
-            final_train = final_raw = problem.full_value(result.x_final)
-        if last.test_loss is not None:  # the loop already tested x_final
+            final_train = final_raw = problem.full_value(x0)
+        if last.test_loss is not None:  # the loop already tested the final iterate
             final_test = last.test_loss
         elif test_fn is not None:
-            final_test = float(test_fn(result.x_final))
+            final_test = float(test_fn(x0))
     summary = finite_or_none({
         "config": cfg.to_dict(),
-        "diverged": result.diverged,
-        "divergence_step": result.diverged_at,
+        "diverged": last.diverged,
+        "divergence_step": last.iter if last.diverged else None,
         "steps_completed": last.iter,
         "final_train_loss": final_train,
         "final_train_loss_raw": final_raw,
         "final_test_loss": final_test,
         "final_rates": list(last.etas) if last.etas is not None else None,
         "final_smoothness": list(last.l_hats) if last.l_hats is not None else None,
-        "wall_ms_total": result.wall_ms,
+        "wall_ms_total": wall_ms,
         "records_csv": "records.csv",
     })
     partial = out_dir / "summary.json.partial"

@@ -10,6 +10,7 @@ for bit.
 import json
 import math
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -151,19 +152,26 @@ class ReferenceEstimator(PlsRate):
         return out
 
 
+def run_rows(obj, algorithm, rate_source, **kwargs):
+    """The records a run emits, in order."""
+    rows = []
+    run_optimizer(obj, algorithm, rate_source, emit=rows.append, **kwargs)
+    return rows
+
+
 def run_with_iterates(obj, algorithm, rate_source, *, x0, **kwargs):
-    """A run from a copy of x0 and its iterates x_0, x_1, ... as rows: the
-    run hands each iterate to its test function when it tests at every
-    step."""
+    """A run from a copy of x0, as its records (``.records``, ``.diverged``)
+    and its iterates x_0, x_1, ... as rows: the run hands each iterate to
+    its test function when it tests at every step."""
     seen = []
 
     def record(x):
         seen.append(x.copy())
         return 0.0
 
-    res = run_optimizer(obj, algorithm, rate_source, x0=x0.copy(), test_fn=record,
-                        test_every=1, **kwargs)
-    return res, np.array(seen)
+    rows = run_rows(obj, algorithm, rate_source, x0=x0.copy(), test_fn=record, test_every=1,
+                    **kwargs)
+    return SimpleNamespace(records=rows, diverged=rows[-1].diverged), np.array(seen)
 
 
 def uniform_whole(rng, n, lo=0.0, hi=1.0):

@@ -9,7 +9,6 @@ from pls_lab.linalg import BLOCK
 from pls_lab.optimizers import (
     AccsgdState,
     AmsgradState,
-    FixedDecayRate,
     FixedRate,
     PlsRate,
     accsgd_coefficients,
@@ -19,7 +18,7 @@ from pls_lab.optimizers import (
 from pls_lab.problems import MlpLsrProblem, QuadraticProblem, glorot_init
 from pls_lab.rng import SeededRng
 
-from _oracles import accsgd_step, amsgrad_step, run_with_iterates
+from _oracles import accsgd_step, amsgrad_step, run_rows, run_with_iterates
 from conftest import traced
 
 
@@ -234,10 +233,12 @@ class TestRateSources:
         with pytest.raises(ValueError):
             FixedRate(float("nan"))
         with pytest.raises(ValueError):
-            FixedDecayRate(-1.0)
+            FixedRate(-1.0, "sqrt_t")
+        with pytest.raises(ValueError):
+            FixedRate(0.1, "linear")
 
     def test_fixed_decay_schedule(self):
-        src = FixedDecayRate(0.4)
+        src = FixedRate(0.4, "sqrt_t")
         assert src.rates(1, None, None)[0][0] == 0.4
         npt.assert_allclose(src.rates(4, None, None)[0][0], 0.2)
 
@@ -261,28 +262,26 @@ class TestRateSources:
 class TestRunOptimizer:
     def test_zero_steps_only_initial_record(self):
         prob = isotropic_quadratic()
-        res = run_optimizer(
-            prob, "sgd", FixedRate(0.1), steps=0, seed=1, x0=np.zeros(prob.d)
-        )
-        assert len(res.records) == 1
-        assert res.records[0].iter == 0
-        assert not res.diverged
+        rows = run_rows(prob, "sgd", FixedRate(0.1), steps=0, seed=1, x0=np.zeros(prob.d))
+        assert len(rows) == 1
+        assert rows[0].iter == 0
+        assert not rows[0].diverged
 
     def test_deterministic_trajectories(self):
         prob = isotropic_quadratic()
         kw = dict(steps=50, seed=9, batch_size=3)
-        r1 = run_optimizer(prob, "amsgrad", FixedRate(0.05), x0=np.ones(prob.d), **kw)
-        r2 = run_optimizer(prob, "amsgrad", FixedRate(0.05), x0=np.ones(prob.d), **kw)
-        npt.assert_array_equal(r1.x_final, r2.x_final)
-        assert [r.train_loss for r in r1.records] == [r.train_loss for r in r2.records]
+        x1, x2 = np.ones(prob.d), np.ones(prob.d)
+        r1 = run_rows(prob, "amsgrad", FixedRate(0.05), x0=x1, **kw)
+        r2 = run_rows(prob, "amsgrad", FixedRate(0.05), x0=x2, **kw)
+        npt.assert_array_equal(x1, x2)
+        assert [r.train_loss for r in r1] == [r.train_loss for r in r2]
 
     def test_full_batch_ignores_seed(self):
         prob = isotropic_quadratic()
-        r1 = run_optimizer(prob, "sgd", FixedRate(0.1), steps=20, seed=1,
-                           x0=np.ones(prob.d), batch_size=prob.n)
-        r2 = run_optimizer(prob, "sgd", FixedRate(0.1), steps=20, seed=999,
-                           x0=np.ones(prob.d), batch_size=prob.n)
-        npt.assert_array_equal(r1.x_final, r2.x_final)
+        x1, x2 = np.ones(prob.d), np.ones(prob.d)
+        run_optimizer(prob, "sgd", FixedRate(0.1), steps=20, seed=1, x0=x1, batch_size=prob.n)
+        run_optimizer(prob, "sgd", FixedRate(0.1), steps=20, seed=999, x0=x2, batch_size=prob.n)
+        npt.assert_array_equal(x1, x2)
 
     def test_adaptive_with_pinned_smoothness_equals_fixed_rate(self):
         # the adaptive source is purely a step-size rule: pinning its
@@ -295,12 +294,11 @@ class TestRunOptimizer:
         for algo in ("sgd", "amsgrad", "accsgd"):
             pinned = PlsRate(prob.layer_partition, eta0, 0.01, eps2)
             pinned.rates = lambda t, x, g: [pair]  # one group
-            ra = run_optimizer(prob, algo, pinned, x0=np.ones(prob.d), **kw)
-            rb = run_optimizer(prob, algo, FixedRate(eta_fixed), x0=np.ones(prob.d), **kw)
-            npt.assert_array_equal(ra.x_final, rb.x_final)
-            assert [r.train_loss for r in ra.records] == [
-                r.train_loss for r in rb.records
-            ]
+            xa, xb = np.ones(prob.d), np.ones(prob.d)
+            ra = run_rows(prob, algo, pinned, x0=xa, **kw)
+            rb = run_rows(prob, algo, FixedRate(eta_fixed), x0=xb, **kw)
+            npt.assert_array_equal(xa, xb)
+            assert [r.train_loss for r in ra] == [r.train_loss for r in rb]
 
     def test_group_rates_apply_to_their_own_slices(self):
         # a diagonal quadratic separates by coordinate, so each group of a
@@ -311,78 +309,82 @@ class TestRunOptimizer:
         for algo in ("sgd", "amsgrad", "accsgd"):
             grouped = PlsRate([(0, 2), (2, 4)], 0.01, 0.01, 0.01)
             grouped.rates = lambda t, x, g: [(e1, 1.0), (e2, 1.0)]
-            rg = run_optimizer(prob, algo, grouped, x0=np.ones(prob.d), **kw)
-            r1 = run_optimizer(prob, algo, FixedRate(e1), x0=np.ones(prob.d), **kw)
-            r2 = run_optimizer(prob, algo, FixedRate(e2), x0=np.ones(prob.d), **kw)
+            xg, x1, x2 = np.ones(prob.d), np.ones(prob.d), np.ones(prob.d)
+            rg = run_optimizer(prob, algo, grouped, x0=xg, **kw)
+            r1 = run_optimizer(prob, algo, FixedRate(e1), x0=x1, **kw)
+            r2 = run_optimizer(prob, algo, FixedRate(e2), x0=x2, **kw)
             assert not (rg.diverged or r1.diverged or r2.diverged)
-            assert rg.records[-1].etas == (e1, e2)
-            npt.assert_array_equal(rg.x_final[:2], r1.x_final[:2])
-            npt.assert_array_equal(rg.x_final[2:], r2.x_final[2:])
+            assert rg.etas == (e1, e2)
+            npt.assert_array_equal(xg[:2], x1[:2])
+            npt.assert_array_equal(xg[2:], x2[2:])
 
     def test_non_finite_iterate_ends_run_at_that_step(self):
         prob = isotropic_quadratic()
         for algo in ("sgd", "amsgrad", "accsgd"):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                res = run_optimizer(prob, algo, FixedRate(1e308), steps=10, seed=1,
-                                    x0=np.full(prob.d, 10.0), batch_size=4)
-            assert res.diverged_at == 1
-            assert len(res.records) == 2
-            last = res.records[-1]
+                x0 = np.full(prob.d, 10.0)
+                rows = run_rows(prob, algo, FixedRate(1e308), steps=10, seed=1, x0=x0,
+                                batch_size=4)
+            assert len(rows) == 2
+            last = rows[-1]
             assert last.iter == 1 and last.diverged
             assert last.etas == (1e308,)
             assert last.test_loss is None
-            assert not np.all(np.isfinite(res.x_final))
+            assert not np.all(np.isfinite(x0))
 
     def test_adaptive_contraction_on_isotropic_quadratic(self):
         prob = isotropic_quadratic(curvature=1.0, dim=2, n=8)
         # full batch: a run of n steps ends at iterate n of any longer run
-        xs = np.array([
+        xs = np.array([[1.5, -0.7]] * 6)
+        for x, n in zip(xs, range(2, 8)):  # each row trained in place
             run_optimizer(prob, "sgd", PlsRate(prob.layer_partition, 0.5, 1e-8, 1e-8), steps=n,
-                          seed=1, x0=np.array([1.5, -0.7]), batch_size=prob.n).x_final
-            for n in range(2, 8)
-        ])
+                          seed=1, x0=x, batch_size=prob.n)
         dist = np.linalg.norm(xs - prob.x_star, axis=1)
         factors = dist[1:] / dist[:-1]
         npt.assert_allclose(factors, 0.5, rtol=1e-5)
 
     def test_divergence_detected_and_flagged(self):
         prob = isotropic_quadratic(curvature=4.0)
-        res = run_optimizer(prob, "sgd", FixedRate(1.0), steps=200, seed=3,
-                            x0=np.ones(prob.d), batch_size=prob.n)
-        assert res.diverged
-        assert res.diverged_at is not None
-        assert res.records[-1].diverged
-        assert res.records[-1].iter == res.diverged_at
-        assert len(res.records) == res.diverged_at + 1
+        rows = run_rows(prob, "sgd", FixedRate(1.0), steps=200, seed=3,
+                        x0=np.ones(prob.d), batch_size=prob.n)
+        assert [r.diverged for r in rows] == [False] * (len(rows) - 1) + [True]
+        assert len(rows) == rows[-1].iter + 1
 
     def test_records_log_rates_and_smoothness(self):
         prob = isotropic_quadratic()
         src = PlsRate(prob.layer_partition, 0.01, 0.01, 0.01)
-        res = run_optimizer(prob, "sgd", src, steps=5, seed=2,
-                            x0=np.ones(prob.d), batch_size=4)
-        assert res.records[0].etas is None
-        assert res.records[1].etas == (0.01,)  # bootstrap applies eta0
-        for rec in res.records[2:]:
+        rows = run_rows(prob, "sgd", src, steps=5, seed=2, x0=np.ones(prob.d), batch_size=4)
+        assert rows[0].etas is None
+        assert rows[1].etas == (0.01,)  # bootstrap applies eta0
+        for rec in rows[2:]:
             assert rec.l_hats[0] >= 0.0
             assert rec.etas[0] <= 0.01 / 0.01
 
     def test_test_fn_cadence(self):
         prob = isotropic_quadratic()
-        res = run_optimizer(prob, "sgd", FixedRate(0.05), steps=12, seed=2,
-                            x0=np.ones(prob.d), batch_size=4,
-                            test_fn=prob.full_value, test_every=5)
-        present = [r.iter for r in res.records if r.test_loss is not None]
+        rows = run_rows(prob, "sgd", FixedRate(0.05), steps=12, seed=2, x0=np.ones(prob.d),
+                        batch_size=4, test_fn=prob.full_value, test_every=5)
+        present = [r.iter for r in rows if r.test_loss is not None]
         assert present == [0, 5, 10]
 
     @pytest.mark.parametrize("algo", ["sgd", "amsgrad", "accsgd"])
     def test_trains_x0_in_place(self, algo):
         prob = isotropic_quadratic()
-        x0 = np.ones(prob.d)
-        res = run_optimizer(prob, algo, PlsRate(prob.layer_partition, 0.01, 0.01, 0.01),
-                            steps=5, seed=2, x0=x0, batch_size=4)
-        assert res.x_final is x0
+        x0, copy = np.ones(prob.d), np.ones(prob.d)
+        tested = []
+
+        def test_fn(x):
+            tested.append(x)
+            return 0.0
+
+        kw = dict(steps=5, seed=2, batch_size=4)
+        run_optimizer(prob, algo, PlsRate(prob.layer_partition, 0.01, 0.01, 0.01), x0=x0,
+                      test_fn=test_fn, test_every=1, **kw)
+        run_optimizer(prob, algo, PlsRate(prob.layer_partition, 0.01, 0.01, 0.01), x0=copy, **kw)
+        assert len(tested) == 6 and all(x is x0 for x in tested)  # every iterate is x0
         assert not np.array_equal(x0, np.ones(prob.d))
+        npt.assert_array_equal(x0, copy)  # and it ends as the trained iterate
 
     @pytest.mark.parametrize("x0, message", [
         ([0.0], "x0 must be a float64 array, got list"),
@@ -433,8 +435,9 @@ def test_full_batch_steps_keep_the_index_batch_records(kind, algo, monkeypatch):
     else:
         prob, make_x0 = _mlp([784, 16, 10], 40)
     kw = dict(steps=12, seed=1, batch_size=prob.n, test_fn=prob.full_value, test_every=4)
-    in_place = run_optimizer(prob, algo, PlsRate(prob.layer_partition, 0.01, 0.01, 0.01),
-                             x0=make_x0(), **kw)
+    x_in_place, x_indexed = make_x0(), make_x0()
+    in_place = run_rows(prob, algo, PlsRate(prob.layer_partition, 0.01, 0.01, 0.01),
+                        x0=x_in_place, **kw)
     batches = []
     value_and_grad = prob.value_and_grad
 
@@ -443,12 +446,12 @@ def test_full_batch_steps_keep_the_index_batch_records(kind, algo, monkeypatch):
         return value_and_grad(x, np.arange(prob.n))
 
     monkeypatch.setattr(prob, "value_and_grad", gathered)
-    indexed = run_optimizer(prob, algo, PlsRate(prob.layer_partition, 0.01, 0.01, 0.01),
-                            x0=make_x0(), **kw)
+    indexed = run_rows(prob, algo, PlsRate(prob.layer_partition, 0.01, 0.01, 0.01),
+                       x0=x_indexed, **kw)
     assert batches == [None] * 12
-    assert not in_place.diverged
-    assert in_place.records == indexed.records
-    assert in_place.x_final.tobytes() == indexed.x_final.tobytes()
+    assert not in_place[-1].diverged
+    assert in_place == indexed
+    assert x_in_place.tobytes() == x_indexed.tobytes()
 
 
 def test_a_full_batch_step_reads_the_training_set_in_place():

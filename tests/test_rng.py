@@ -103,6 +103,23 @@ def test_skip_passes_over_draws():
     assert a.next_u64() == b.next_u64()
 
 
+@pytest.mark.parametrize("draw", [
+    lambda r: r.index_array(-2, 10),
+    lambda r: r.uniform_array(-2),
+    lambda r: r.skip(-2),
+], ids=["index_array", "uniform_array", "skip"])
+def test_a_negative_draw_count_is_refused_and_leaves_the_stream(draw):
+    # counted backwards, the stream would repeat its first draw next
+    r, twin = SeededRng(1), SeededRng(1)
+    twin.next_u64()
+    twin.next_u64()
+    r.next_u64()
+    r.next_u64()
+    with pytest.raises(ValueError, match="draw count must be non-negative, got -2"):
+        draw(r)
+    assert r.next_u64() == twin.next_u64()
+
+
 def test_spawn_streams_independent_and_deterministic():
     root = SeededRng(42)
     c1, c2 = root.spawn(0), root.spawn(1)

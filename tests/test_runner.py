@@ -4,8 +4,10 @@ import json
 import math
 import os
 import pickle
+import signal
 import subprocess
 import sys
+import time
 import warnings
 import weakref
 from pathlib import Path
@@ -1148,3 +1150,110 @@ def test_launches_agree_where_the_blas_thread_count_shows(tmp_path, capsys):
     path = tmp_path / "sgd.json"
     path.write_text(json.dumps(cfg))
     _assert_launches_agree([path], tmp_path / "out")
+
+
+# --- records.csv is a stream: a run that ends early leaves whole rows ------
+
+
+def test_a_run_that_raises_leaves_the_rows_before_it(tmp_path, monkeypatch):
+    cfg, k = quadratic_pls_config(steps=20), 7
+    execute_config(cfg, tmp_path / "full")
+    full = (tmp_path / "full" / "records.csv").read_bytes()
+    calls = []
+    value_and_grad = QuadraticProblem.value_and_grad
+
+    def raise_on_call_k(self, x, batch):
+        calls.append(batch)
+        if len(calls) == k:
+            raise RuntimeError("gradient failed")
+        return value_and_grad(self, x, batch)
+
+    monkeypatch.setattr(QuadraticProblem, "value_and_grad", raise_on_call_k)
+    with pytest.raises(RuntimeError, match="gradient failed"):
+        execute_config(cfg, tmp_path / "cut")
+    cut = (tmp_path / "cut" / "records.csv").read_bytes()
+    assert cut.count(b"\n") == 1 + k  # the header and rows 0 .. k-1, whole
+    assert cut.endswith(b"\n") and full.startswith(cut) and len(cut) < len(full)
+    assert [r[0] for r in read_csv(tmp_path / "cut" / "records.csv")[1]] == [
+        str(t) for t in range(k)]
+    assert not (tmp_path / "cut" / "summary.json").exists()
+    with pytest.raises(FileExistsError, match="records.csv exists: a run does not overwrite"):
+        execute_config(cfg, tmp_path / "cut")
+    assert (tmp_path / "cut" / "records.csv").read_bytes() == cut
+
+
+def test_a_killed_job_leaves_a_whole_row_prefix_and_no_summary(tmp_path):
+    # 40,000 steps take over a second, so the job is killed mid-run once
+    # its file holds 20 rows
+    cfg = quadratic_pls_config(steps=40_000)
+    cfg["rate"] = {"kind": "fixed", "eta": 0.1}
+    out = tmp_path / "killed"
+    proc = subprocess.Popen([*runner._JOB_COMMAND, str(out)], stdin=subprocess.PIPE,
+                            stdout=subprocess.DEVNULL, env=runner._job_environment())
+    try:
+        proc.stdin.write(json.dumps(cfg).encode())
+        proc.stdin.close()
+        records = out / "records.csv"
+        deadline = time.monotonic() + 60.0
+        while not (records.exists() and records.read_bytes().count(b"\n") >= 21):
+            assert proc.poll() is None, f"the job ended first, with status {proc.returncode}"
+            assert time.monotonic() < deadline, "the job wrote no 20 rows in 60 s"
+            time.sleep(0.001)
+        proc.send_signal(signal.SIGKILL)
+        assert proc.wait(timeout=10) == -signal.SIGKILL
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=10)
+    cut = records.read_bytes()
+    execute_config(cfg, tmp_path / "full")
+    full = (tmp_path / "full" / "records.csv").read_bytes()
+    assert cut.count(b"\n") >= 21 and cut.endswith(b"\n")
+    assert full.startswith(cut) and len(cut) < len(full)
+    assert sorted(p.name for p in out.iterdir()) == ["records.csv"]
+
+
+@pytest.mark.parametrize("exit_", ["loss-cap", "gradient", "iterate"])
+def test_each_divergence_exit_emits_one_flagged_last_row(exit_, tmp_path, monkeypatch):
+    eta = {"loss-cap": 5.0, "gradient": 0.1, "iterate": 1e308}[exit_]
+    cfg = quadratic_pls_config(steps=50)
+    cfg["rate"] = {"kind": "fixed", "eta": eta}
+    if exit_ == "gradient":  # a nan gradient entry at step 3, under a finite loss
+        calls = []
+        value_and_grad = QuadraticProblem.value_and_grad
+
+        def nan_gradient(self, x, batch):
+            loss, g = value_and_grad(self, x, batch)
+            calls.append(batch)
+            if len(calls) == 3:
+                g[0] = np.nan
+            return loss, g
+
+        monkeypatch.setattr(QuadraticProblem, "value_and_grad", nan_gradient)
+    if exit_ == "iterate":  # a gradient entry above 1.8 overflows x - 1e308 * g
+        cfg["problem"]["x0_scale"] = 100.0
+    emitted = []
+    run_optimizer = runner.run_optimizer
+
+    def spy(*args, emit, **kwargs):
+        def both(rec):
+            emitted.append(rec)
+            emit(rec)
+        return run_optimizer(*args, emit=both, **kwargs)
+
+    monkeypatch.setattr(runner, "run_optimizer", spy)
+    summary = execute_config(cfg, tmp_path)
+    last = emitted[-1]
+    assert [r.diverged for r in emitted] == [False] * (len(emitted) - 1) + [True]
+    assert [r.iter for r in emitted] == list(range(len(emitted)))
+    if exit_ == "loss-cap":
+        assert math.isfinite(last.train_loss) and last.train_loss > 1e12 and last.etas is None
+    elif exit_ == "gradient":
+        assert last.iter == 3 and last.train_loss < 1e12 and last.etas is None
+    else:
+        assert last.iter == 1 and last.etas == (1e308,)
+    assert summary["diverged"] is True
+    assert summary["divergence_step"] == summary["steps_completed"] == last.iter
+    assert summary["final_rates"] == (list(last.etas) if last.etas is not None else None)
+    _, rows = read_csv(tmp_path / "records.csv")
+    assert len(rows) == len(emitted) and rows[-1][-1] == "1"
