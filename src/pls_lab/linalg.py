@@ -157,7 +157,10 @@ def cond2(p: Matrix2) -> float:
         raise ValueError("cond2 requires a positive definite matrix")
     half_tr = 0.5 * (p.a11 + p.a22)
     # eigenvalues of [[p11, q], [q, p22]]
-    gap = math.sqrt(0.25 * (p.a11 - p.a22) ** 2 + p.a12 * p.a21)
+    try:
+        gap = math.sqrt(0.25 * (p.a11 - p.a22) ** 2 + p.a12 * p.a21)
+    except OverflowError:  # the float power overflows where a product would give inf
+        return math.inf
     lam_max = half_tr + gap
     lam_min = half_tr - gap
     if lam_min <= 0.0:

@@ -6,7 +6,8 @@ state matrices for the adaptive-moment and accelerated updates. This
 module builds those systems, derives the step-size windows inside which
 they contract at a given rate rho, certifies contraction two independent
 ways (discrete Lyapunov solve and spectral radius), and simulates the
-systems to check the decay envelope numerically. ``analyze`` puts these
+systems to check the decay envelope numerically; plain descent is
+simulated as the 2x2 system diag(1 - eta*L, 0). ``analyze`` puts these
 together into the report that ``pls-lab stability`` prints.
 """
 
@@ -15,7 +16,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -303,33 +303,25 @@ class _Envelope:
             return math.inf
 
 
-def simulate_factors(factors, z0: float, rho: float) -> DecayReport:
-    """Iterate the scalar system z <- f_t * z and measure the envelope."""
-    z = float(z0)
-    if z == 0.0:
-        return DecayReport(0.0, None, None, False)
-    env = _Envelope(rho, abs(z))
-    for f in factors:
-        z *= f
-        divisor = env.observe(abs(z))
-        if divisor is None:
-            return DecayReport(math.inf, None, None, True)
-        if divisor != 1.0:
-            z /= divisor
-    return DecayReport(env.max_ratio, None, None, False)
-
-
 def _simulate_matrix(env: _Envelope, a: np.ndarray, z: np.ndarray, steps: int) -> bool:
     """Feed env the norms of z_t = a z_{t-1}, t = 1..steps; False on an overflow.
     Chunks of states take the dgemv of ``a @ z`` and the ddot of ``z.dot(z)``
-    and are observed in array passes; from the first state to rescale on, the
-    states are stepped and observed one at a time."""
+    and are observed in array passes; for a diagonal ``a`` a chunk is running
+    products, the bits of that dgemv up to the first non-finite state, whose
+    norm ends the observation. From the first state to rescale on, the states
+    are stepped and observed one at a time."""
+    diag = a.diagonal() if a[0, 1] == 0.0 and a[1, 0] == 0.0 else None
     done = 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while done < steps:
             traj, start = np.empty((min(_CHUNK, steps - done), 2)), z
-            for row in list(traj):
-                z = a.dot(z, out=row)
+            if diag is None:
+                for row in list(traj):
+                    z = a.dot(z, out=row)
+            else:
+                traj[:] = diag
+                np.multiply(diag, z, out=traj[0])
+                z = np.multiply.accumulate(traj, out=traj)[-1]
             sq = np.matmul(traj[:, None, :], traj[:, :, None]).ravel()
             norms = np.sqrt(sq)
             for i in np.flatnonzero(sq < _MIN_NORMAL).tolist():  # _norm2's hypot rows
@@ -418,7 +410,11 @@ def analyze(
         window = sgd_rate_window(L, rho)
         factor = sgd_factor(eta, L)
         stable = window[0] <= eta <= window[1]
-        sim = simulate_factors(repeat(factor, steps), 1.0, rho)
+        sim = simulate_system(Matrix2(factor, 0.0, 0.0, 0.0), steps, [1.0, 0.0], rho)
+        try:
+            lyapunov_p = 1.0 / (rho**2 - factor**2) if abs(factor) < rho else None
+        except ZeroDivisionError:  # both squares underflow, and the true value overflows
+            lyapunov_p = math.inf
         report = {
             "system": "sgd",
             "rho": rho,
@@ -427,7 +423,7 @@ def analyze(
             "eta_in_window": stable,
             "factor": factor,
             "spectral_radius": abs(factor),
-            "lyapunov_p": 1.0 / (rho**2 - factor**2) if abs(factor) < rho else None,
+            "lyapunov_p": lyapunov_p,
         }
     elif system == "t2":
         window = amsgrad_rate_window(beta1, sqrtvhat, L)

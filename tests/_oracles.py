@@ -249,28 +249,17 @@ def synthetic_digits_loop(n, seed, rows=28, cols=28, num_classes=10, label_noise
     return images, labels.astype(np.uint8)
 
 
-def simulate_factors_loop(factors, z0, rho):
-    """simulate_factors one step and one envelope observation at a time."""
-    z = float(z0)
-    if z == 0.0:
-        return DecayReport(0.0, None, None, False)
-    env = _Envelope(rho, abs(z))
-    for f in factors:
-        z *= f
-        divisor = env.observe(abs(z))
-        if divisor is None:
-            return DecayReport(math.inf, None, None, True)
-        if divisor != 1.0:
-            z /= divisor
-    return DecayReport(env.max_ratio, None, None, False)
+def _loop_norm(z):
+    """np.linalg.norm, or math.hypot for a state whose squared norm is below
+    the normal range."""
+    return math.hypot(*z) if z.dot(z) < sys.float_info.min else float(np.linalg.norm(z))
 
 
 def simulate_system_loop(m, steps, zeta0, rho, p=None):
     """simulate_system one step at a time: a fresh array, errstate and
-    np.linalg.norm on every step, with math.hypot for a state whose
-    squared norm is below the normal range."""
+    _loop_norm on the start and on every step."""
     z = np.asarray(zeta0, dtype=np.float64).copy()
-    scale = float(np.linalg.norm(z))
+    scale = _loop_norm(z)
     bound = math.sqrt(cond2(p)) if p is not None else None
     if scale == 0.0:
         return DecayReport(0.0, bound, True if bound is not None else None, False)
@@ -278,9 +267,7 @@ def simulate_system_loop(m, steps, zeta0, rho, p=None):
     for m_t in [m] * steps:
         with np.errstate(over="ignore", invalid="ignore"):
             z = m_t.as_array() @ z
-            norm = float(np.linalg.norm(z))
-            if z.dot(z) < sys.float_info.min:
-                norm = math.hypot(*z)
+            norm = _loop_norm(z)
         divisor = env.observe(norm)
         if divisor is None:
             return DecayReport(math.inf, bound, False if bound is not None else None, True)

@@ -190,3 +190,10 @@ class TestCond2:
         with pytest.raises(ValueError):
             cond2(Matrix2(1.0, 0.5, -0.5, 1.0))
 
+    def test_overflowing_square_gives_inf(self):
+        # the certificate of amsgrad_system(0.9, 0.1, 1.0, 1e200) at rate 1: the
+        # square of its diagonal's difference overflows, and a float power raises
+        p = solve_discrete_lyapunov2(Matrix2(0.9, 0.09999999999999998, -9e-202, 1.0), 1.0)
+        assert p is not None and p.a22 > 1e201
+        assert cond2(p) == math.inf
+

@@ -1,12 +1,12 @@
+import itertools
 import json
 import math
-from itertools import repeat
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from _oracles import simulate_factors_loop, simulate_system_loop, strict_json
+from _oracles import simulate_system_loop, strict_json
 from conftest import traced
 from pls_lab import stability
 from pls_lab.cli import main
@@ -27,9 +27,16 @@ from pls_lab.stability import (
     lyapunov_verdict,
     sgd_factor,
     sgd_rate_window,
-    simulate_factors,
     simulate_system,
 )
+
+
+def scalar(factor):
+    """The plain-descent system diag(factor, 0), as analyze builds it for t1."""
+    return Matrix2(factor, 0.0, 0.0, 0.0)
+
+
+_E1 = [1.0, 0.0]  # the unit start of a scalar system
 
 
 class TestSgdWindow:
@@ -42,7 +49,7 @@ class TestSgdWindow:
         assert hi == 0.25
 
     def test_inside_window_contracts_at_rate(self):
-        report = simulate_factors([sgd_factor(0.4, 2.0)] * 100, 1.0, 0.5)
+        report = simulate_system(scalar(sgd_factor(0.4, 2.0)), 100, _E1, 0.5)
         assert report.max_ratio <= 1.0 + 1e-12
         assert not report.overflowed
 
@@ -54,7 +61,7 @@ class TestSgdWindow:
         assert not (lo <= eta <= hi)
         factor = sgd_factor(eta, 2.0)
         npt.assert_allclose(abs(factor), 0.2, rtol=1e-12)
-        assert simulate_factors([factor] * 100, 1.0, 0.5).max_ratio <= 1.0
+        assert simulate_system(scalar(factor), 100, _E1, 0.5).max_ratio <= 1.0
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -223,22 +230,23 @@ class TestSimulation:
     def test_zero_start_stays_zero(self):
         report = simulate_system(Matrix2(1.0, 0.0, 0.0, 1.0), 10, np.zeros(2), 0.9)
         assert report.max_ratio == 0.0
-        assert simulate_factors([3.0] * 10, 0.0, 0.9) == DecayReport(0.0, None, None, False)
+        zero = simulate_system(scalar(3.0), 10, [0.0, 0.0], 0.9)
+        assert zero == DecayReport(0.0, None, None, False)
 
     def test_envelope_past_underflowing_rho_power(self):
         # rho^t reaches 0.0 near t = 65; the ratio must still be measured
-        below = simulate_factors([0.9e-5] * 100, 1.0, 1e-5)
+        below = simulate_system(scalar(0.9e-5), 100, _E1, 1e-5)
         assert below.max_ratio == 1.0 and not below.overflowed
-        above = simulate_factors([0.2] * 100, 1.0, 1e-5)
+        above = simulate_system(scalar(0.2), 100, _E1, 1e-5)
         assert math.isinf(above.max_ratio) and not above.overflowed
         # 0.01^165 is 0.0 while 0.0125^165 is still a (subnormal) float
-        late = simulate_factors([0.0125] * 165, 1.0, 0.01)
+        late = simulate_system(scalar(0.0125), 165, _E1, 0.01)
         npt.assert_allclose(late.max_ratio, 1.25**165, rtol=1e-6)
         m = Matrix2(0.9e-5, 0.0, 0.0, 0.9e-5)
         assert simulate_system(m, 100, np.array([1.0, 1.0]), 1e-5).max_ratio == 1.0
 
     def test_overflow_reported_unstable(self):
-        report = simulate_factors([3.0] * 400, 1.0, 0.9)
+        report = simulate_system(scalar(3.0), 400, _E1, 0.9)
         assert report.overflowed
 
     def test_certificate_bound_honored(self):
@@ -315,20 +323,16 @@ class TestStateBelowTheSquaredRange:
 _STEP_COUNTS = (0, 1, 100, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7)
 
 
-def _factor_lists():
+def _constant_factors():
+    """(factor, steps, rho) of scalar systems."""
     rng = SeededRng(41)
     for steps in _STEP_COUNTS:
-        rho = rng.uniform(0.05, 0.99)
-        yield [rng.uniform(-1.2, 1.2)] * steps, rho
-        for lo, hi in ((-1.0, 1.0), (0.5, 1.6)):  # the first passes 1e-300 near step 690
-            yield rng.uniform_array(steps, lo, hi).tolist(), rho
-    yield [2e-5] * 100, 1e-5  # the state passes 1e-300 at step 64; max ratio 1.27e30
-    yield [0.0125] * 165, 0.01  # the state passes 1e-300 at step 158, before rho^t underflows
-    yield [0.05] * 200, 0.01  # rho^t underflows at step 162, the state never passes 1e-300
-    yield [3.0] * 400, 0.9  # overflow
-    yield [0.5, math.nan, 0.5], 0.9
-    yield [0.5, 0.0, 0.5], 0.9
-    yield [0.5] * 100, math.nan  # every ratio is nan: the max stays 1
+        yield rng.uniform(-1.2, 1.2), steps, rng.uniform(0.05, 0.99)
+    yield 2e-5, 100, 1e-5  # the state passes 1e-300 at step 64; max ratio 1.27e30
+    yield 0.0125, 165, 0.01  # the state passes 1e-300 at step 158, before rho^t underflows
+    yield 0.05, 200, 0.01  # rho^t underflows at step 162, the state never passes 1e-300
+    yield 3.0, 400, 0.9  # overflow
+    yield 0.5, 100, math.nan  # every ratio is nan: the max stays 1
 
 
 def _first_state_below_tiny(next_state, z, steps):
@@ -354,12 +358,13 @@ class TestSimulationMatchesPerStepLoop:
             certified += p is not None
         assert compared == 3 * 404 + 4 * 54 and 0 < certified < 404
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")  # a start of 7.5e200
     def test_factors_bit_for_bit(self):
         for z0 in (1.0, -3e-310, 7.5e200):
-            for factors, rho in _factor_lists():
-                want = repr(simulate_factors_loop(factors, z0, rho))
-                assert repr(simulate_factors(factors, z0, rho)) == want
-                assert repr(simulate_factors(iter(factors), z0, rho)) == want
+            for factor, steps, rho in _constant_factors():
+                m = scalar(factor)
+                want = repr(simulate_system_loop(m, steps, [z0, 0.0], rho))
+                assert repr(simulate_system(m, steps, [z0, 0.0], rho)) == want
 
     @pytest.mark.parametrize("rho", [math.nan, math.inf, 0.0, -0.5])
     @pytest.mark.parametrize("m", [Matrix2(0.5, 0.1, 0.0, 0.5), Matrix2(1e100, 0.0, 0.0, 1e100)])
@@ -387,10 +392,10 @@ class TestSimulationMatchesPerStepLoop:
         assert 0 < (first - 1) % _CHUNK < _CHUNK - 1
         assert repr(simulate_system(m, steps, self.zeta0, rho)) == repr(
             simulate_system_loop(m, steps, self.zeta0, rho))
-        factors = [diagonal] * steps
-        assert _first_state_below_tiny(lambda z: z * diagonal, 1.0, steps) == first
-        assert repr(simulate_factors(factors, 1.0, rho)) == repr(
-            simulate_factors_loop(factors, 1.0, rho))
+        t1 = scalar(diagonal)
+        assert _first_state_below_tiny(t1.as_array().dot, np.array(_E1), steps) == first
+        assert repr(simulate_system(t1, steps, _E1, rho)) == repr(
+            simulate_system_loop(t1, steps, _E1, rho))
 
     def test_ratio_past_underflowing_rho_power_before_rescaling(self):
         # rho^t underflows at step 162; the max ratio is 5^200, at the last step
@@ -398,7 +403,7 @@ class TestSimulationMatchesPerStepLoop:
         got = simulate_system(m, 200, self.zeta0, 0.01)
         assert repr(got) == repr(simulate_system_loop(m, 200, self.zeta0, 0.01))
         npt.assert_allclose(got.max_ratio, 5.0**200, rtol=1e-9)
-        npt.assert_allclose(simulate_factors([0.05] * 200, 1.0, 0.01).max_ratio, 5.0**200,
+        npt.assert_allclose(simulate_system(scalar(0.05), 200, _E1, 0.01).max_ratio, 5.0**200,
                             rtol=1e-9)
 
     def test_integer_rate(self):
@@ -406,8 +411,8 @@ class TestSimulationMatchesPerStepLoop:
         m = Matrix2(2.5, 0.0, 0.0, 2.5)
         got = simulate_system(m, 300, self.zeta0, 2)
         assert repr(got) == repr(simulate_system_loop(m, 300, self.zeta0, 2))
-        assert repr(simulate_factors([2.5] * 300, 1.0, 2)) == repr(
-            simulate_factors_loop([2.5] * 300, 1.0, 2))
+        assert repr(simulate_system(scalar(2.5), 300, _E1, 2)) == repr(
+            simulate_system_loop(scalar(2.5), 300, _E1, 2))
         npt.assert_allclose(got.max_ratio, 1.25**300, rtol=1e-9)
 
     def test_negative_steps_simulate_nothing(self):
@@ -416,7 +421,35 @@ class TestSimulationMatchesPerStepLoop:
         got = simulate_system(m, -3, self.zeta0, 0.99, p)
         assert repr(got) == repr(simulate_system_loop(m, -3, self.zeta0, 0.99, p))
         assert got.max_ratio == 1.0 and got.within_bound
-        assert simulate_factors(repeat(0.5, -3), 1.0, 0.9) == DecayReport(1.0, None, None, False)
+        assert simulate_system(scalar(0.5), -3, _E1, 0.9) == DecayReport(1.0, None, None, False)
+
+
+@pytest.mark.parametrize("m, zeta0, rho", [
+    (scalar(0.2), _E1, 0.1),  # passes 1e-300 at step 430, mid-chunk, after 0.1^t underflows
+    (scalar(-0.01), _E1, 0.5),  # passes 1e-300 at step 151
+    (scalar(-0.9), [-3e-310, 0.0], 0.95),
+    (scalar(3.0), _E1, 0.9),  # passes 1e150 at step 315
+    (scalar(1e200), _E1, 0.5),  # overflows at step 1
+    (scalar(-math.inf), _E1, 0.5),
+    (scalar(0.0), _E1, 0.5),
+    (scalar(1.0), [7.5e200, 0.0], 0.999),
+    (scalar(0.5), _E1, math.nan),
+    (scalar(0.5), _E1, 0.0),
+    (scalar(1e100), _E1, -0.5),
+    (Matrix2(0.5, 0.0, 0.0, 0.5), [3e-170, 4e-170], 0.9),  # the squared norm underflows
+    (Matrix2(-0.3, 0.0, 0.0, 0.9), [1.0, 1.0], 0.95),
+])
+@pytest.mark.filterwarnings("ignore:overflow encountered")  # the start of 7.5e200
+def test_diagonal_fill_matches_the_per_step_dgemv(m, zeta0, rho):
+    # a diagonal matrix's chunks are running products, not dgemv calls
+    for steps in _STEP_COUNTS:
+        try:
+            want = repr(simulate_system_loop(m, steps, zeta0, rho))
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                simulate_system(m, steps, zeta0, rho)
+        else:
+            assert repr(simulate_system(m, steps, zeta0, rho)) == want
 
 
 class TestAnalyze:
@@ -498,6 +531,13 @@ _NON_FINITE_REPORTS = [
     ("t1 --L=10 --rho=0.5 --eta=1e308", {"factor": None, "spectral_radius": None}),
     ("t2 --beta1=0.9 --sqrtvhat=1.0 --L=1.0 --eta=1e308 --rho=0.9",
      {"spectral_radius": None, "discriminant": None}),
+    # rho**2 and factor**2 underflow to 0, and 1 / (rho^2 - factor^2) overflows
+    ("t1 --L=1 --rho=1e-170 --eta=1", {"spectral_radius": 0.0, "lyapunov_p": None}),
+    # the certificate has an entry near 1e201, and cond2 overflows
+    ("t2 --beta1=0.9 --sqrtvhat=1e200 --L=1 --eta=0.1 --rho=1",
+     {"lmi_feasible": True, "cond_p": None}),
+    ("t2 --beta1=0.1 --sqrtvhat=0.9 --L=1.0000001 --eta=1e-170 --rho=1.0",
+     {"lmi_feasible": True, "cond_p": None}),
 ]
 
 
@@ -508,11 +548,40 @@ def test_non_finite_report_fields_print_as_null(args, fields, capsys):
     assert captured.err == ""
     report = strict_json(captured.out)
     assert {name: report[name] for name in fields} == fields
+    if "cond_p" in fields:  # the bound sqrt(cond_p) overflows with it
+        assert report["envelope"]["bound"] is None
+
+
+_EXTREME_VALUES = (0.0, 1e-320, 1e-300, 1e-170, 1e-155, 1e-100, 1e-10, 0.1, 0.5, 0.9,
+                   0.999999999, 1.0, 1.0000001, 2.0, 10.0, 1e10, 1e100, 1e154, 1e200, 1e308)
+_FLAGS = {"t1": ("L", "rho", "eta"), "t2": ("beta1", "sqrtvhat", "L", "eta", "rho"),
+          "t3": ("kappa", "xi", "L", "eta", "rho")}
+
+
+def test_no_stability_input_ends_in_a_traceback(capsys):
+    # every flag drawn from values that underflow or overflow squares and
+    # products: each call prints a report (0) or an input fault (2)
+    rng = SeededRng(3)
+    for _ in range(3000):
+        system = ("t1", "t2", "t3")[rng.randint(3)]
+        argv = ["stability", system] + [
+            f"--{name}={_EXTREME_VALUES[rng.randint(len(_EXTREME_VALUES))]!r}"
+            for name in _FLAGS[system]]
+        assert main(argv) in (0, 2), argv
+        capsys.readouterr()
+
+
+# t1 at factors 1, 0, -1, +-1e308, +-1e-11 and 1 - 5e-324, each rate and step count
+_EDGE_T1 = [f"t1 --L=1.0 --eta={eta!r} --rho={rho!r} --steps={steps}"
+            for eta, rho, steps in itertools.product(
+                (0.0, 1.0, 2.0, 1e308, -1e308, 1.0 + 1e-11, 1.0 - 1e-11, 5e-324),
+                (1e-5, 0.5, 0.999, 1e-300), (0, 100, 1000))]
 
 
 def test_cli_prints_what_the_per_step_loops_print(monkeypatch, capsys):
     rng = SeededRng(51)
     argvs = [["stability", *args.split()] for args, _ in _NON_FINITE_REPORTS]
+    argvs += [["stability", *args.split()] for args in _EDGE_T1]
     for _ in range(100):
         for system in ("t1", "t2", "t3"):
             params = _draw(system, rng)
@@ -522,7 +591,6 @@ def test_cli_prints_what_the_per_step_loops_print(monkeypatch, capsys):
         return [(main(argv), *capsys.readouterr()) for argv in argvs]
 
     chunked = outputs()
-    monkeypatch.setattr(stability, "simulate_factors", simulate_factors_loop)
     monkeypatch.setattr(stability, "simulate_system", simulate_system_loop)
     assert outputs() == chunked
 
