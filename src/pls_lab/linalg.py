@@ -149,7 +149,8 @@ def cond2(p: Matrix2) -> float:
     """Condition number of a symmetric positive definite 2x2 matrix.
 
     For symmetric PD input this is the ratio of its two (real, positive)
-    eigenvalues.
+    eigenvalues. Where ``half_tr - gap`` cancels to no positive value on an
+    ill-conditioned P, the smaller one is taken as det / lam_max.
     """
     if abs(p.a12 - p.a21) > 1e-12 * max(1.0, abs(p.a12), abs(p.a21)):
         raise ValueError("cond2 requires a symmetric matrix")
@@ -164,6 +165,6 @@ def cond2(p: Matrix2) -> float:
     lam_max = half_tr + gap
     lam_min = half_tr - gap
     if lam_min <= 0.0:
-        raise ValueError("cond2 requires a positive definite matrix")
-    return lam_max / lam_min
+        lam_min = p.det() / lam_max
+    return lam_max / lam_min if lam_min > 0.0 else math.inf  # det / lam_max underflowed
 

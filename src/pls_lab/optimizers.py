@@ -21,10 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError
 from .linalg import BLOCK, blocks
 from .rng import SeededRng
-from .smoothness import BAD_GRADIENT, DECAY_MODES, predict
+from .smoothness import DECAY_MODES, predict
 
 ALGORITHMS = ("sgd", "amsgrad", "accsgd")
 
@@ -199,8 +198,6 @@ class PlsRate:
             if xs.shape != gs.shape:
                 raise ValueError("iterate and gradient must have the same shape")
             if self.history[k] is None:
-                if not np.all(np.isfinite(gs)):
-                    raise DivergenceError(BAD_GRADIENT)
                 self.history[k] = (np.array(xs, dtype=np.float64), gs)
                 out.append((self.eta0, 0.0))
                 continue
@@ -218,11 +215,10 @@ class PlsRate:
 
 @dataclass
 class TrainRecord:
-    """One log row: losses and per-group rates and smoothness."""
+    """One log row: the batch loss and per-group rates and smoothness."""
 
     iter: int
     train_loss: float
-    test_loss: float | None
     etas: tuple[float, ...] | None
     l_hats: tuple[float | None, ...] | None
     diverged: bool
@@ -241,15 +237,13 @@ def run_optimizer(
     beta2: float = 0.999,
     kappa: float = 1000.0,
     xi: float = 10.0,
-    test_fn=None,
-    test_every: int = 50,
     emit=lambda record: None,
 ) -> TrainRecord:
     """Run one optimizer for ``steps`` iterations and return the last record.
 
     Each iteration's ``TrainRecord`` is handed to ``emit`` as soon as it
-    exists, the initial evaluation (iteration 0) first; by default the
-    records are dropped.
+    exists, the initial evaluation (iteration 0) first, while ``x0`` holds
+    its iterate; by default the records are dropped.
 
     Each rate group of ``rate_source`` gets its own update state; every
     step applies the group's scalar step size in place to its slice of
@@ -257,9 +251,9 @@ def run_optimizer(
     draw from the run seed's batch substream; a batch size of at least n
     means the exact full-sum gradient, on the batch None (every sample,
     read in place). The run halts early (without raising) when the batch
-    loss exceeds LOSS_CAP or anything becomes non-finite; the last record
-    carries the diverged flag. Identical (config, seed) pairs produce
-    identical trajectories.
+    loss exceeds LOSS_CAP or anything becomes non-finite (rates and updates
+    are unflagged IEEE arithmetic); the last record carries the diverged
+    flag. Identical (config, seed) pairs produce identical trajectories.
 
     ``x0`` is the iterate: a writable 1-D float64 array of ``obj.d``
     entries, which the run trains in place (anything else is refused), so
@@ -295,30 +289,22 @@ def run_optimizer(
         updates = [AccsgdState(x[s], *coefficients).step for s in slices]
 
     batch_rng = SeededRng(seed).spawn(BATCH_STREAM)
-
-    def maybe_test(x_now, t):
-        if test_fn is None or t % test_every != 0:
-            return None
-        return float(test_fn(x_now))
-
-    last = TrainRecord(0, obj.full_value(x), maybe_test(x, 0), None, None, False)
+    last = TrainRecord(0, obj.full_value(x), None, None, False)
     emit(last)
     for t in range(1, steps + 1):
         batch = None if batch_size >= obj.n else batch_rng.index_array(batch_size, obj.n)
         with np.errstate(over="ignore", invalid="ignore"):
             loss, g = obj.value_and_grad(x, batch)
         if not np.isfinite(loss) or loss > LOSS_CAP or not np.all(np.isfinite(g)):
-            last = TrainRecord(t, float(loss), None, None, None, True)
+            last = TrainRecord(t, float(loss), None, None, True)
         else:
-            group_rates = rate_source.rates(t, x, g)
-            etas = tuple(eta for eta, _ in group_rates)
-            l_hats = tuple(l for _, l in group_rates)
             with np.errstate(over="ignore", invalid="ignore"):
+                group_rates = rate_source.rates(t, x, g)
+                etas = tuple(eta for eta, _ in group_rates)
+                l_hats = tuple(l for _, l in group_rates)
                 for update, s, eta in zip(updates, slices, etas):
                     update(x[s], g[s], eta)
-            diverged = not np.all(np.isfinite(x))
-            test_loss = None if diverged else maybe_test(x, t)
-            last = TrainRecord(t, float(loss), test_loss, etas, l_hats, diverged)
+            last = TrainRecord(t, float(loss), etas, l_hats, not np.all(np.isfinite(x)))
         emit(last)
         if last.diverged:
             break

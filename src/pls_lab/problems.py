@@ -202,12 +202,16 @@ class MlpLsrProblem:
 
     def data_value(self, x, batch) -> float:
         """Mean squared-error term alone, without the regularizer; a batch
-        of None is every sample."""
+        of None is every sample. Only the generator holds the input rows, so
+        scaled pixels are freed after the first layer (a reconstruction's
+        targets keep them)."""
         inputs, targets = self._samples(batch)
-        for out in self._forward(x, inputs):
+        n, layers = len(inputs), self._forward(x, inputs)
+        del inputs
+        for out in layers:
             pass
         err = out - targets
-        return float(0.5 * np.sum(err * err) / len(inputs))
+        return float(0.5 * np.sum(err * err) / n)
 
     def value(self, x, batch) -> float:
         return self.data_value(x, batch) + self._reg_value(x)

@@ -107,13 +107,13 @@ def _csv_header(n_groups: int) -> str:
     return ",".join(cols) + "\n"
 
 
-def _csv_row(rec: TrainRecord, n_groups: int) -> str:
+def _csv_row(rec: TrainRecord, test_loss: float | None, n_groups: int) -> str:
     etas = rec.etas if rec.etas is not None else (None,) * n_groups
     l_hats = rec.l_hats if rec.l_hats is not None else (None,) * n_groups
     cells = [
         _fmt(rec.iter),
         _fmt(rec.train_loss),
-        _fmt(rec.test_loss),
+        _fmt(test_loss),
         *(_fmt(e) for e in etas),
         *(_fmt(l) for l in l_hats),
         "",  # wall time is not per row: runs stay byte-identical
@@ -125,9 +125,10 @@ def _csv_row(rec: TrainRecord, n_groups: int) -> str:
 def execute(cfg: ExperimentConfig, out_dir) -> dict:
     """Run one experiment into out_dir, refused first if it holds a run's
     files. Each record is written to records.csv as the run makes it
-    (line-buffered, so a killed run leaves whole rows); summary.json is
-    written last, through a temp file and os.replace, so that a summary
-    means the run ended."""
+    (line-buffered, so a killed run leaves whole rows), with the test loss
+    of x0, the iterate trained in place, on every test_every-th unflagged
+    row; summary.json is written last, through a temp file and os.replace,
+    so that a summary means the run ended."""
     out_dir = Path(out_dir)
     for name in ("records.csv", "summary.json"):
         if (out_dir / name).exists():
@@ -136,6 +137,14 @@ def execute(cfg: ExperimentConfig, out_dir) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     rate_source = build_rate_source(cfg.rate, problem.layer_partition)
     n_groups = len(rate_source.groups)
+    test_loss = None  # the last row's
+
+    def write(rec: TrainRecord):
+        nonlocal test_loss
+        test_loss = None
+        if test_fn is not None and not rec.diverged and rec.iter % cfg.test_every == 0:
+            test_loss = float(test_fn(x0))
+        records.write(_csv_row(rec, test_loss, n_groups))
 
     with open(out_dir / "records.csv", "x", buffering=1) as records:
         records.write(_csv_header(n_groups))
@@ -152,24 +161,20 @@ def execute(cfg: ExperimentConfig, out_dir) -> dict:
             beta2=cfg.amsgrad.beta2,
             kappa=cfg.accsgd.kappa,
             xi=cfg.accsgd.xi,
-            test_fn=test_fn,
-            test_every=cfg.test_every,
-            emit=lambda rec: records.write(_csv_row(rec, n_groups)),
+            emit=write,
         )
         wall_ms = (time.perf_counter() - start) * 1e3
     del rate_source  # a PLS history, an iterate and a gradient, is freed before the final pass
 
-    final_train = final_raw = final_test = None
+    final_train = final_raw = None
     if not last.diverged:  # x0 holds the final iterate
         if isinstance(problem, MlpLsrProblem):  # one pass: value is data_value + _reg_value
             final_raw = problem.data_value(x0, None)  # every sample, in place
             final_train = final_raw + problem._reg_value(x0)
         else:
             final_train = final_raw = problem.full_value(x0)
-        if last.test_loss is not None:  # the loop already tested the final iterate
-            final_test = last.test_loss
-        elif test_fn is not None:
-            final_test = float(test_fn(x0))
+        if test_loss is None and test_fn is not None:  # the last row was not tested
+            test_loss = float(test_fn(x0))
     summary = finite_or_none({
         "config": cfg.to_dict(),
         "diverged": last.diverged,
@@ -177,7 +182,7 @@ def execute(cfg: ExperimentConfig, out_dir) -> dict:
         "steps_completed": last.iter,
         "final_train_loss": final_train,
         "final_train_loss_raw": final_raw,
-        "final_test_loss": final_test,
+        "final_test_loss": test_loss,
         "final_rates": list(last.etas) if last.etas is not None else None,
         "final_smoothness": list(last.l_hats) if last.l_hats is not None else None,
         "wall_ms_total": wall_ms,
@@ -202,13 +207,24 @@ _JOB_COMMAND = (sys.executable, "-c",
 
 def _run_job(out_dir: str) -> int:
     """Body of a job's interpreter: run the config read as JSON from stdin;
-    on an error write the pickled exception to stdout and return 1."""
+    on an error write the pickled exception and its formatted traceback to
+    stdout and return 1."""
     try:
         execute_config(json.load(sys.stdin), out_dir)
     except Exception as exc:
-        sys.stdout.buffer.write(pickle.dumps(exc))
+        import traceback  # here, not at the top: only a failed job formats one
+
+        sys.stdout.buffer.write(pickle.dumps((exc, traceback.format_exc())))
         return 1
     return 0
+
+
+class _RemoteTraceback(Exception):
+    """A job's formatted traceback, chained as the cause of the exception
+    re-raised from the job, as ``concurrent.futures`` chains a worker's."""
+
+    def __str__(self):
+        return self.args[0]
 
 
 def _job_environment() -> dict:
@@ -224,13 +240,14 @@ def _job_environment() -> dict:
 
 def _run_in_interpreter(config_dict: dict, out_dir: str) -> dict:
     """Run one config as a job in a fresh interpreter and return its
-    summary; re-raise the job's exception."""
+    summary; re-raise the job's exception, caused by its traceback."""
     import subprocess  # here, not at the top: a job's interpreter starts no job
 
     proc = subprocess.run([*_JOB_COMMAND, out_dir], input=json.dumps(config_dict).encode(),
                           env=_job_environment(), stdout=subprocess.PIPE)
     if proc.returncode == 1 and proc.stdout:
-        raise pickle.loads(proc.stdout)
+        exc, tb = pickle.loads(proc.stdout)
+        raise exc from _RemoteTraceback(tb)
     if proc.returncode != 0:
         raise ChildProcessError(f"job for {out_dir} exited with status {proc.returncode}")
     with open(Path(out_dir) / "summary.json") as fh:

@@ -29,6 +29,11 @@ def l2_norm(v: np.ndarray) -> float:
         raise ValueError("l2_norm of an empty vector")
     if not np.all(np.isfinite(v)):
         raise DivergenceError("non-finite entry in vector")
+    return _norm(v)
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of any entries, in plain IEEE arithmetic."""
     return float(np.sqrt(np.dot(v, v)))
 
 
@@ -127,8 +132,8 @@ def accsgd_step(m, x, g, eta, alpha, a, b):
 
 
 class ReferenceEstimator(PlsRate):
-    """The rate with fresh differences and a finiteness scan of each
-    group's gradient and of each difference on every call."""
+    """The rate with fresh differences and whole-array norms on every
+    call, in plain IEEE arithmetic."""
 
     def rates(self, t, x, g):
         out = []
@@ -136,20 +141,35 @@ class ReferenceEstimator(PlsRate):
             xs, gs = x[lo:hi], g[lo:hi]
             if xs.shape != gs.shape:
                 raise ValueError("iterate and gradient must have the same shape")
-            if not np.all(np.isfinite(gs)):
-                raise DivergenceError("non-finite gradient in smoothness update")
             if self.history[k] is None:
                 self.history[k] = (xs.copy(), gs.copy())
                 out.append((self.eta0, 0.0))
                 continue
             prev_x, prev_g = self.history[k]
-            l_hat = l2_norm(gs - prev_g) / (l2_norm(xs - prev_x) + self.eps1)
+            l_hat = _norm(gs - prev_g) / (_norm(xs - prev_x) + self.eps1)
             self.history[k] = (xs.copy(), gs.copy())
             eta = self.eta0 / (l_hat + self.eps2)
             if self.decay == "sqrt_t":
                 eta /= math.sqrt(t)
             out.append((eta, l_hat))
         return out
+
+
+class GradientStub:
+    """A one-sample objective of loss 1.0 whose gradients are the given
+    rows, one per call, in turn."""
+
+    n = 1
+
+    def __init__(self, *rows):
+        self.d = len(rows[0])
+        self.rows = iter(rows)
+
+    def full_value(self, x):
+        return 1.0
+
+    def value_and_grad(self, x, batch):
+        return 1.0, np.array(next(self.rows))
 
 
 def run_rows(obj, algorithm, rate_source, **kwargs):
@@ -161,16 +181,16 @@ def run_rows(obj, algorithm, rate_source, **kwargs):
 
 def run_with_iterates(obj, algorithm, rate_source, *, x0, **kwargs):
     """A run from a copy of x0, as its records (``.records``, ``.diverged``)
-    and its iterates x_0, x_1, ... as rows: the run hands each iterate to
-    its test function when it tests at every step."""
-    seen = []
+    and the iterates x_0, x_1, ... of its unflagged rows as rows: the run
+    trains the copy in place, so each row's ``emit`` copies it out."""
+    x, rows, seen = x0.copy(), [], []
 
-    def record(x):
-        seen.append(x.copy())
-        return 0.0
+    def record(rec):
+        rows.append(rec)
+        if not rec.diverged:
+            seen.append(x.copy())
 
-    rows = run_rows(obj, algorithm, rate_source, x0=x0.copy(), test_fn=record, test_every=1,
-                    **kwargs)
+    run_optimizer(obj, algorithm, rate_source, x0=x, emit=record, **kwargs)
     return SimpleNamespace(records=rows, diverged=rows[-1].diverged), np.array(seen)
 
 

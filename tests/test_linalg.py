@@ -190,6 +190,20 @@ class TestCond2:
         with pytest.raises(ValueError):
             cond2(Matrix2(1.0, 0.5, -0.5, 1.0))
 
+    def test_cancelling_subtraction_takes_det_over_the_larger_eigenvalue(self):
+        # the certificate of amsgrad_system(1e-155, 1e-170, 1e10, 1e100) at
+        # rate 2: half_tr - gap cancels to 0 on a P whose det is 2.08e18
+        p = solve_discrete_lyapunov2(Matrix2(1e-155, 1e10, -0.0, 1.0), 2.0)
+        assert p is not None and p.det() > 2e18
+        assert 0.5 * (p.a11 + p.a22) - math.sqrt(0.25 * (p.a11 - p.a22) ** 2 + p.a12 ** 2) == 0.0
+        assert cond2(p) == 3.3333333333333336e19  # the exact ratio, rounded
+        # det is one subnormal step, and det / lam_max underflows to 0: the
+        # ratio, about 9 / 5e-324, overflows
+        b = math.sqrt(5 * 5e-324)
+        p = Matrix2(1e-323, b, b, 3.0)
+        assert p.det() == 5e-324 and p.det() / 3.0 == 0.0
+        assert cond2(p) == math.inf
+
     def test_overflowing_square_gives_inf(self):
         # the certificate of amsgrad_system(0.9, 0.1, 1.0, 1e200) at rate 1: the
         # square of its diagonal's difference overflows, and a float power raises

@@ -7,6 +7,7 @@ import pytest
 
 from pls_lab.linalg import BLOCK
 from pls_lab.optimizers import (
+    WHOLE,
     AccsgdState,
     AmsgradState,
     FixedRate,
@@ -18,7 +19,7 @@ from pls_lab.optimizers import (
 from pls_lab.problems import MlpLsrProblem, QuadraticProblem, glorot_init
 from pls_lab.rng import SeededRng
 
-from _oracles import accsgd_step, amsgrad_step, run_rows, run_with_iterates
+from _oracles import GradientStub, accsgd_step, amsgrad_step, run_rows, run_with_iterates
 from conftest import traced
 
 
@@ -330,7 +331,6 @@ class TestRunOptimizer:
             last = rows[-1]
             assert last.iter == 1 and last.diverged
             assert last.etas == (1e308,)
-            assert last.test_loss is None
             assert not np.all(np.isfinite(x0))
 
     def test_adaptive_contraction_on_isotropic_quadratic(self):
@@ -362,29 +362,61 @@ class TestRunOptimizer:
             assert rec.etas[0] <= 0.01 / 0.01
 
     def test_test_fn_cadence(self):
+        # the loop takes no test function: a test cadence is an emit
+        # consumer that reads the row's iterate in x0
         prob = isotropic_quadratic()
-        rows = run_rows(prob, "sgd", FixedRate(0.05), steps=12, seed=2, x0=np.ones(prob.d),
-                        batch_size=4, test_fn=prob.full_value, test_every=5)
-        present = [r.iter for r in rows if r.test_loss is not None]
-        assert present == [0, 5, 10]
+        kw = dict(seed=2, batch_size=4)
+        with pytest.raises(TypeError, match="test_fn"):
+            run_optimizer(prob, "sgd", FixedRate(0.05), steps=12, x0=np.ones(prob.d),
+                          test_fn=prob.full_value, **kw)
+        x0, tested = np.ones(prob.d), {}
+
+        def emit(rec):
+            if rec.iter % 5 == 0:
+                tested[rec.iter] = prob.full_value(x0)
+
+        run_optimizer(prob, "sgd", FixedRate(0.05), steps=12, x0=x0, emit=emit, **kw)
+        assert list(tested) == [0, 5, 10]
+        for t, value in tested.items():  # the value at the end of a t-step run
+            x_t = np.ones(prob.d)
+            run_optimizer(prob, "sgd", FixedRate(0.05), steps=t, x0=x_t, **kw)
+            assert value == prob.full_value(x_t)
 
     @pytest.mark.parametrize("algo", ["sgd", "amsgrad", "accsgd"])
     def test_trains_x0_in_place(self, algo):
         prob = isotropic_quadratic()
         x0, copy = np.ones(prob.d), np.ones(prob.d)
-        tested = []
-
-        def test_fn(x):
-            tested.append(x)
-            return 0.0
-
+        seen = []
         kw = dict(steps=5, seed=2, batch_size=4)
         run_optimizer(prob, algo, PlsRate(prob.layer_partition, 0.01, 0.01, 0.01), x0=x0,
-                      test_fn=test_fn, test_every=1, **kw)
+                      emit=lambda rec: seen.append(x0.copy()), **kw)
         run_optimizer(prob, algo, PlsRate(prob.layer_partition, 0.01, 0.01, 0.01), x0=copy, **kw)
-        assert len(tested) == 6 and all(x is x0 for x in tested)  # every iterate is x0
+        assert len(seen) == 6
+        for t, x_t in enumerate(seen):  # every row's emit sees its iterate in x0
+            x = np.ones(prob.d)
+            run_optimizer(prob, algo, PlsRate(prob.layer_partition, 0.01, 0.01, 0.01), x0=x,
+                          **dict(kw, steps=t))
+            npt.assert_array_equal(x_t, x)
         assert not np.array_equal(x0, np.ones(prob.d))
         npt.assert_array_equal(x0, copy)  # and it ends as the trained iterate
+
+    @pytest.mark.parametrize("algo", ["sgd", "amsgrad", "accsgd"])
+    def test_an_overflowing_gradient_difference_is_no_fault(self, algo):
+        # each difference of consecutive gradients overflows: the rate reads
+        # it in plain IEEE arithmetic, silently, and the run ends as a
+        # flagged row (or after all its steps)
+        stub = GradientStub(*[[0.0, 1.7e308], [0.0, -1.7e308]] * 5)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rows = run_rows(stub, algo, PlsRate(WHOLE, 0.01, 0.01, 0.01), steps=10, seed=1,
+                            x0=np.zeros(2), batch_size=1)
+        assert caught == []
+        assert [r.iter for r in rows] == list(range(len(rows)))
+        assert rows[-1].diverged or len(rows) == 11
+        if algo == "sgd":  # the displacement's square overflows too: l_hat = inf / inf
+            assert [r.diverged for r in rows] == [False, False, True]
+            assert rows[1].etas == (0.01,)
+            assert math.isnan(rows[2].etas[0]) and math.isnan(rows[2].l_hats[0])
 
     @pytest.mark.parametrize("x0, message", [
         ([0.0], "x0 must be a float64 array, got list"),
@@ -434,10 +466,17 @@ def test_full_batch_steps_keep_the_index_batch_records(kind, algo, monkeypatch):
         make_x0 = lambda: np.ones(prob.d)  # noqa: E731
     else:
         prob, make_x0 = _mlp([784, 16, 10], 40)
-    kw = dict(steps=12, seed=1, batch_size=prob.n, test_fn=prob.full_value, test_every=4)
+    kw = dict(steps=12, seed=1, batch_size=prob.n)
+
+    def tested_rows(x0):  # each record, with a test pass on x0 every 4th
+        rows = []
+        run_optimizer(prob, algo, PlsRate(prob.layer_partition, 0.01, 0.01, 0.01), x0=x0,
+                      emit=lambda r: rows.append((r, prob.full_value(x0) if r.iter % 4 == 0
+                                                  else None)), **kw)
+        return rows
+
     x_in_place, x_indexed = make_x0(), make_x0()
-    in_place = run_rows(prob, algo, PlsRate(prob.layer_partition, 0.01, 0.01, 0.01),
-                        x0=x_in_place, **kw)
+    in_place = tested_rows(x_in_place)
     batches = []
     value_and_grad = prob.value_and_grad
 
@@ -446,10 +485,10 @@ def test_full_batch_steps_keep_the_index_batch_records(kind, algo, monkeypatch):
         return value_and_grad(x, np.arange(prob.n))
 
     monkeypatch.setattr(prob, "value_and_grad", gathered)
-    indexed = run_rows(prob, algo, PlsRate(prob.layer_partition, 0.01, 0.01, 0.01),
-                       x0=x_indexed, **kw)
+    indexed = tested_rows(x_indexed)
     assert batches == [None] * 12
-    assert not in_place[-1].diverged
+    assert not in_place[-1][0].diverged
+    assert [r.iter for r, value in in_place if value is not None] == [0, 4, 8, 12]
     assert in_place == indexed
     assert x_in_place.tobytes() == x_indexed.tobytes()
 

@@ -273,6 +273,21 @@ class TestForwardOracle:
                 full_pass(x)
             assert mem.peak < 2.5 * layer_bytes
 
+    def test_a_pass_on_pixels_frees_the_scaled_split_after_the_first_layer(self):
+        # 784-500-500-10 on 1000 uint8 rows: the scaled split is 6.3 MB, a
+        # hidden layer's output 4 MB; the pass peaks at layer 1, holding
+        # both (held to the end, they would meet layer 2's two outputs)
+        layers, n = [784, 500, 500, 10], 1000
+        rng = SeededRng(8)
+        pixels = rng.index_array(n * 784, 256).astype(np.uint8).reshape(n, 784)
+        prob = MlpLsrProblem(layers, pixels, rng.uniform_array(n * 10).reshape(n, 10), l2=1e-4)
+        x = glorot_init(layers, rng.spawn(1))
+        scaled_bytes, layer_bytes = n * 784 * 8, n * 500 * 8
+        for full_pass in (prob.full_value, lambda x: prob.data_value(x, None)):
+            with traced() as mem:
+                full_pass(x)
+            assert mem.peak < scaled_bytes + 1.5 * layer_bytes
+
     def test_a_gradient_holds_one_gradient_and_batch_sized_arrays(self):
         # 784-500-500-10 at batch 10: the gradient is 5.2 MB, each batch-sized
         # array at most 63 KB; a separate w * w of the first layer is 3.1 MB

@@ -273,6 +273,20 @@ class TestExecute:
         if steps == 4:
             assert repr(summary["final_test_loss"]) == rows[-1][2]
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # row 1's test pass overflows
+    def test_a_flagged_row_is_not_tested(self, small_digits_dir, tmp_path):
+        # eta 1e308 takes the batch loss past the cap at step 2
+        cfg_dict = mlp_classification_config(
+            small_digits_dir, layers=[64, 16, 10], steps=4, seed=3,
+            rate={"kind": "fixed", "eta": 1e308}, limit=120, batch_size=20,
+            extra={"test_every": 1},
+        )
+        summary = execute_config(cfg_dict, tmp_path)
+        _, rows = read_csv(tmp_path / "records.csv")
+        assert [(r[0], r[2] != "", r[3], r[-1]) for r in rows] == [
+            ("0", True, "", "0"), ("1", True, "1e+308", "0"), ("2", False, "", "1")]
+        assert summary["final_test_loss"] is None
+
     def test_limit_subsets_training_split(self, small_digits_dir):
         cfg = ExperimentConfig.from_dict(
             mlp_classification_config(
@@ -997,6 +1011,35 @@ def test_grid_job_that_dies_without_its_exception(tmp_path, monkeypatch, capsys)
     assert main(["run", "--config", str(paths[0]), "--out", str(tmp_path / "run")]) == 2
     message = f"job for {tmp_path / 'run'} exited with status 3"
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+_RAISING_JOB = """
+import sys
+from pls_lab import errors, runner
+
+def execute_config(config, out_dir):
+    if config["seed"] == 1:
+        raise KeyError("no such key")
+    raise errors.ConfigError("rate.eta0", "must be positive")
+
+runner.execute_config = execute_config
+sys.exit(runner._run_job(sys.argv[1]))
+"""
+
+
+def test_a_job_crash_keeps_its_traceback(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(runner, "_JOB_COMMAND", (sys.executable, "-c", _RAISING_JOB))
+    paths = _quadratic_configs(tmp_path, [1, 2])
+    with pytest.raises(KeyError, match="no such key") as exc:
+        run_grid(paths[:1], tmp_path / "grid")
+    cause = exc.value.__cause__
+    assert type(cause).__name__ == "_RemoteTraceback"
+    assert str(cause).startswith("Traceback (most recent call last):")
+    assert 'File "<string>", line 7, in execute_config' in str(cause)  # the raise
+    assert str(cause).endswith("KeyError: 'no such key'\n")
+    # an input fault keeps its one error line
+    assert main(["run", "--config", str(paths[1]), "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr() == ("", "error: rate.eta0: must be positive\n")
 
 
 def _data_fault(root, fault):

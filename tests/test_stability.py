@@ -552,6 +552,17 @@ def test_non_finite_report_fields_print_as_null(args, fields, capsys):
         assert report["envelope"]["bound"] is None
 
 
+def test_an_ill_conditioned_certificate_is_no_input_fault(capsys):
+    # cond2's closed form cancels on this certificate (det 2.08e18), which
+    # once read as a matrix that is not positive definite and exited 2
+    argv = "t2 --beta1=1e-155 --sqrtvhat=1e+100 --L=1e10 --eta=1e-170 --rho=2.0".split()
+    assert main(["stability", *argv]) == 0
+    report = strict_json(capsys.readouterr().out)
+    assert report["lmi_feasible"] is True and report["cond_p"] == 3.3333333333333336e19
+    assert report["envelope"]["bound"] == 5773502691.896258
+    assert report["envelope"]["within_bound"] is True
+
+
 _EXTREME_VALUES = (0.0, 1e-320, 1e-300, 1e-170, 1e-155, 1e-100, 1e-10, 0.1, 0.5, 0.9,
                    0.999999999, 1.0, 1.0000001, 2.0, 10.0, 1e10, 1e100, 1e154, 1e200, 1e308)
 _FLAGS = {"t1": ("L", "rho", "eta"), "t2": ("beta1", "sqrtvhat", "L", "eta", "rho"),
